@@ -1,39 +1,9 @@
-"""Optional thread pooling for embarrassingly parallel inner loops.
-
-The ROSEN_BKERR_THREADS environment variable caps the worker count:
-unset or 1 runs sequentially, 0 means one worker per CPU, any other
-positive integer is used as given.  Results always come back in input
-order, so threaded and sequential runs produce identical output.
-"""
+"""The order-preserving map through which the independent inner loops run
+(the SCF restarts and the boundary directions)."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-_ENV_VAR = "ROSEN_BKERR_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value < 0:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
 
 def parallel_map(fn, items) -> list:
-    """Order-preserving map, threaded when the environment asks for it."""
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``, in input order."""
+    return [fn(item) for item in items]

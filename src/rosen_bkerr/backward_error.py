@@ -11,19 +11,29 @@ norm making lambda an exact eigenvalue.  Every pattern is computable:
   the sphere;
 * C, AC, BP, ACP follow by transposing the system and renaming blocks.
 
-``backward_error`` dispatches the pattern and attaches a reconstructed
-minimal perturbation and an independently recomputed certificate.
+``ROUTES`` is the one table of that pattern-to-route map, read by every
+function here.  ``backward_error`` follows the pattern's route and
+attaches a reconstructed minimal perturbation and an independently
+recomputed certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
 from . import linalg, srq2
-from .rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
+from .rosenbrock import (
+    ErrorMatrices,
+    RosenbrockSystem,
+    aggregate_norm,
+    assemble_error_matrices,
+    transposed_blocks,
+)
 
 __all__ = [
     "BackwardErrorResult",
@@ -35,7 +45,9 @@ __all__ = [
     "METHOD_TRANSPOSED_SRQ2",
     "METHOD_ZERO_EIGENVALUE",
     "PerturbationPattern",
+    "ROUTES",
     "ReconstructionError",
+    "Route",
     "SystemDelta",
     "all_patterns",
     "backward_error",
@@ -47,13 +59,10 @@ __all__ = [
 METHOD_ZERO_EIGENVALUE = "zero_eigenvalue"
 METHOD_PENCIL = "pencil"
 METHOD_SRQ2 = "srq2"
-METHOD_TRANSPOSED_PENCIL = "transposed_pencil"
-METHOD_TRANSPOSED_SRQ2 = "transposed_srq2"
+METHOD_TRANSPOSED_PENCIL = f"transposed_{METHOD_PENCIL}"
+METHOD_TRANSPOSED_SRQ2 = f"transposed_{METHOD_SRQ2}"
 
 _LETTERS = "ABCP"
-_TRANSPOSE_MAP = {"C": "B", "AC": "AB", "BP": "CP", "ACP": "ABP"}
-_PENCIL_CASES = {"A", "B", "P", "AB", "CP"}
-_SRQ2_CASES = {"AP", "BC", "ABC", "ABP", "BCP", "ABCP"}
 
 _ZERO_GATE = 1e-12
 _RHS_ZERO_TOL = 1e-12
@@ -106,16 +115,57 @@ class PerturbationPattern:
         return self.blocks <= other.blocks
 
 
+@dataclass(frozen=True)
+class Route:
+    """How the backward error of one pattern is computed.
+
+    ``kind`` (METHOD_PENCIL or METHOD_SRQ2) is solved for the pattern
+    ``inner``: on the system itself, or on its transpose when
+    ``transposed``.  A pencil route restricts to the null space of the Gram
+    matrix of the block row its pattern freezes, with the right-hand side
+    ``rhs`` (the projector "H1" or "H2", the weighting "Hlam", or the
+    identity for None).  An SRQ2 route takes its scalar pairs from
+    ``scalars``, an entry of ``srq2.PATTERN_SCALARS``.  With
+    ``over_gamma`` the second block row's Gram matrix G2 enters divided by
+    the polynomial weight gamma, which scales the value by 1/gamma.
+    """
+
+    kind: str
+    inner: str
+    transposed: bool = False
+    rhs: str | None = None
+    scalars: Callable[[float], tuple[float, float, float, float]] | None = None
+    over_gamma: bool = False
+
+
+_SCALARS = srq2.PATTERN_SCALARS
+ROUTES = MappingProxyType(
+    {
+        "A": Route(METHOD_PENCIL, "A", rhs="H1"),
+        "B": Route(METHOD_PENCIL, "B", rhs="H2"),
+        "C": Route(METHOD_PENCIL, "B", transposed=True, rhs="H2"),
+        "P": Route(METHOD_PENCIL, "P", rhs="H2", over_gamma=True),
+        "AB": Route(METHOD_PENCIL, "AB"),
+        "AC": Route(METHOD_PENCIL, "AB", transposed=True),
+        "AP": Route(METHOD_SRQ2, "AP", scalars=_SCALARS["AP"], over_gamma=True),
+        "BC": Route(METHOD_SRQ2, "BC", scalars=_SCALARS["BC"]),
+        "BP": Route(METHOD_PENCIL, "CP", transposed=True, rhs="Hlam"),
+        "CP": Route(METHOD_PENCIL, "CP", rhs="Hlam"),
+        "ABC": Route(METHOD_SRQ2, "ABC", scalars=_SCALARS["ABC"]),
+        "ABP": Route(METHOD_SRQ2, "ABP", scalars=_SCALARS["ABP"], over_gamma=True),
+        "ACP": Route(
+            METHOD_SRQ2, "ABP", transposed=True, scalars=_SCALARS["ABP"], over_gamma=True
+        ),
+        "BCP": Route(METHOD_SRQ2, "BCP", scalars=_SCALARS["BCP"]),
+        "ABCP": Route(METHOD_SRQ2, "ABCP", scalars=_SCALARS["ABCP"]),
+    }
+)
+
+
 def all_patterns() -> tuple[PerturbationPattern, ...]:
     """All 15 patterns, ordered by size then canonical spelling."""
-    out = []
-    for size in range(1, 5):
-        for mask in range(1, 16):
-            letters = [c for i, c in enumerate(_LETTERS) if mask >> i & 1]
-            if len(letters) == size:
-                out.append(PerturbationPattern(frozenset(letters)))
-    seen = sorted(set(p.letters for p in out), key=lambda s: (len(s), s))
-    return tuple(PerturbationPattern.from_string(s) for s in seen)
+    spellings = sorted(ROUTES, key=lambda s: (len(s), s))
+    return tuple(PerturbationPattern.from_string(s) for s in spellings)
 
 
 def _as_pattern(pattern) -> PerturbationPattern:
@@ -162,29 +212,11 @@ class SystemDelta:
         )
 
     def norm(self) -> float:
-        total = (
-            np.linalg.norm(self.dA) ** 2
-            + np.linalg.norm(self.dB) ** 2
-            + np.linalg.norm(self.dC) ** 2
-            + sum(np.linalg.norm(m) ** 2 for m in self.d_poly)
-        )
-        return float(np.sqrt(total))
-
-    def poly_at(self, z) -> np.ndarray:
-        z = complex(z)
-        acc = np.array(self.d_poly[-1], copy=True)
-        for coeff in reversed(self.d_poly[:-1]):
-            acc = acc * z + coeff
-        return acc
+        return aggregate_norm(self.dA, self.dB, self.dC, *self.d_poly)
 
     def transpose(self) -> "SystemDelta":
         """The matching perturbation of the transposed system."""
-        return SystemDelta(
-            dA=self.dA.T.copy(),
-            dB=self.dC.T.copy(),
-            dC=self.dB.T.copy(),
-            d_poly=tuple(m.T.copy() for m in self.d_poly),
-        )
+        return SystemDelta(*transposed_blocks(self.dA, self.dB, self.dC, self.d_poly))
 
     def subtract_from(self, system: RosenbrockSystem) -> RosenbrockSystem:
         """The perturbed system whose blocks are the originals minus these."""
@@ -212,8 +244,8 @@ class Certificate:
     passed: bool
     delta_norm: float
     sigma_min_perturbed: float
-    nepv_residual: float | None
-    pencil_residual: float | None
+    nepv_residual: float | None = None
+    pencil_residual: float | None = None
     failure: str | None = None
 
 
@@ -231,90 +263,65 @@ class BackwardErrorResult:
     method: str
     pattern: PerturbationPattern
     lam: complex
-    transposed: bool
-    converged: bool
-    perturbation: SystemDelta | None
-    solver: srq2.Srq2Solution | None
-    infeasibility_witness: str | None
-    certificate: Certificate | None
+    transposed: bool = False
+    converged: bool = True
+    perturbation: SystemDelta | None = None
+    solver: srq2.Srq2Solution | None = None
+    infeasibility_witness: str | None = None
+    certificate: Certificate | None = None
 
 
 def srq2_problem_for(pattern, em: ErrorMatrices) -> srq2.Srq2Problem:
     """Quotient data for the patterns that reduce to the two-quotient
-    minimization (A3 is always the trailing-coordinate projector)."""
+    minimization on the untransposed system (A3 is always the
+    trailing-coordinate projector)."""
     letters = _as_pattern(pattern).letters
-    g = em.gamma
-    table = {
-        "AP": (em.g1, 1.0, -1.0, em.g2 / g, 0.0, 1.0),
-        "BC": (em.g1, 0.0, 1.0, em.g2, 1.0, -1.0),
-        "ABC": (em.g1, 1.0, 0.0, em.g2, 1.0, -1.0),
-        "ABP": (em.g1, 1.0, 0.0, em.g2 / g, 0.0, 1.0),
-        "BCP": (em.g1, 0.0, 1.0, em.g2, 1.0, g - 1.0),
-        "ABCP": (em.g1, 1.0, 0.0, em.g2, 1.0, g - 1.0),
-    }
-    if letters not in table:
+    route = ROUTES[letters]
+    if route.kind != METHOD_SRQ2 or route.transposed:
         raise ValueError(
-            f"pattern {letters} does not reduce to a two-quotient minimization"
+            f"pattern {letters} does not reduce to a two-quotient minimization "
+            "on the untransposed system"
         )
-    a1, al1, be1, a2, al2, be2 = table[letters]
-    return srq2.Srq2Problem(a1, a2, em.h2, al1, be1, al2, be2)
+    a2 = em.g2 / em.gamma if route.over_gamma else em.g2
+    return srq2.Srq2Problem(em.g1, a2, em.h2, *route.scalars(em.gamma))
 
 
-class _PencilOutcome:
-    __slots__ = ("value_sq", "x", "witness", "residual")
-
-    def __init__(self, value_sq=math.inf, x=None, witness=None, residual=None):
-        self.value_sq = value_sq
-        self.x = x
-        self.witness = witness
-        self.residual = residual
+def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    out = basis.conj().T @ m @ basis
+    return (out + out.conj().T) / 2.0
 
 
-def _pencil_data(letters: str, em: ErrorMatrices):
-    """Null-space basis, pencil matrices and the scale factor on the squared
-    value for the five direct pencil patterns."""
-    if letters in ("A", "B", "AB"):
-        basis = linalg.psd_nullspace(em.g2, _NULL_TOL)
-        numerator = em.g1
-    elif letters in ("P", "CP"):
-        basis = linalg.psd_nullspace(em.g1, _NULL_TOL)
-        numerator = em.g2
+def _pencil_data(route: Route, em: ErrorMatrices):
+    """Basis of the null space of the Gram matrix of the block row the
+    pattern freezes, the pencil (M, N) restricted to it, the name of N, and
+    the factor that turns the pencil's eigenvalue into eta^2."""
+    if "A" in route.inner or "B" in route.inner:  # C and P are frozen
+        basis, numerator, v = linalg.psd_nullspace(em.g2, _NULL_TOL), em.g1, "V"
+    else:  # A and B are frozen
+        basis, numerator, v = linalg.psd_nullspace(em.g1, _NULL_TOL), em.g2, "U"
+    rhs = {"H1": em.h1, "H2": em.h2, "Hlam": em.h_lambda}.get(route.rhs)
+    if rhs is None:
+        nmat = np.eye(basis.shape[1], dtype=np.complex128)
     else:
-        raise ValueError(f"pattern {letters} is not a direct pencil case")
-    k = basis.shape[1]
-    m = basis.conj().T @ numerator @ basis
-    m = (m + m.conj().T) / 2.0
-    selector = {
-        "A": ("V*H1V", em.h1),
-        "B": ("V*H2V", em.h2),
-        "AB": (None, None),
-        "P": ("U*H2U", em.h2),
-        "CP": (None, em.h_lambda),
-    }[letters]
-    if selector[1] is None:
-        nmat = np.eye(k, dtype=np.complex128)
-    else:
-        nmat = basis.conj().T @ selector[1] @ basis
-        nmat = (nmat + nmat.conj().T) / 2.0
-    scale = 1.0 / em.gamma if letters == "P" else 1.0
-    return basis, m, nmat, selector[0], scale
+        nmat = _restrict(rhs, basis)
+    scale = 1.0 / em.gamma if route.over_gamma else 1.0
+    return basis, _restrict(numerator, basis), nmat, f"{v}*{route.rhs}{v}", scale
 
 
-def _solve_pencil_case(letters: str, em: ErrorMatrices) -> _PencilOutcome:
-    basis, m, nmat, selector_name, scale = _pencil_data(letters, em)
+def _solve_pencil(route: Route, em: ErrorMatrices):
+    """(squared value, minimizer, infeasibility witness) of a pencil route."""
+    basis, m, nmat, rhs_name, scale = _pencil_data(route, em)
     k = basis.shape[1]
     if k == 0:
-        return _PencilOutcome(witness="the feasibility null space is trivial")
-    if selector_name is not None and linalg.norm1(nmat) <= _RHS_ZERO_TOL * max(1.0, float(k)):
-        return _PencilOutcome(witness=f"{selector_name} = 0")
-    if letters == "AB":
+        return math.inf, None, "the feasibility null space is trivial"
+    if route.rhs is not None and linalg.norm1(nmat) <= _RHS_ZERO_TOL * max(1.0, float(k)):
+        return math.inf, None, f"{rhs_name} = 0"
+    if route.rhs is None:
         w, vecs = np.linalg.eigh(m)
         value, y = float(w[0]), vecs[:, 0]
     else:
         value, y = linalg.semidefinite_pencil_smallest(m, nmat, _NULL_TOL)
-    residual = float(np.linalg.norm(m @ y - value * (nmat @ y)))
-    x = linalg.fix_phase(linalg.normalize(basis @ y))
-    return _PencilOutcome(value_sq=scale * value, x=x, witness=None, residual=residual)
+    return scale * value, linalg.fix_phase(linalg.normalize(basis @ y)), None
 
 
 def backward_error(
@@ -333,153 +340,88 @@ def backward_error(
 
     Returns eta = 0 immediately when lam is already a numerical eigenvalue
     (the zero perturbation works for every pattern), eta = +inf with a
-    witness when the pattern admits no feasible perturbation.
+    witness when the pattern admits no feasible perturbation.  A
+    transposed route solves its inner pattern on the transposed system;
+    the perturbation is mapped back and certified on the original system.
     """
     pattern = _as_pattern(pattern)
     lam = complex(lam)
+    route = ROUTES[pattern.letters]
     s_mat = system.evaluate(lam)
-    scale = max(1.0, linalg.norm1(s_mat))
-    if linalg.smallest_singular_value(s_mat) <= _ZERO_GATE * scale:
-        _, _, vh = np.linalg.svd(s_mat)
-        x = linalg.fix_phase(vh[-1].conj())
-        result = BackwardErrorResult(
-            eta=0.0,
-            x=x,
-            method=METHOD_ZERO_EIGENVALUE,
-            pattern=pattern,
-            lam=lam,
-            transposed=False,
-            converged=True,
-            perturbation=SystemDelta.zero(system.r, system.n, system.d),
-            solver=None,
-            infeasibility_witness=None,
-            certificate=None,
-        )
-        return replace(result, certificate=certify(system, lam, pattern, result))
-
-    letters = pattern.letters
-    if letters in _TRANSPOSE_MAP:
-        inner = backward_error(
-            system.transpose(),
-            lam,
-            _TRANSPOSE_MAP[letters],
-            restarts=restarts,
-            seed=seed,
-            tol=tol,
-            max_iter=max_iter,
-            max_shift_tries=max_shift_tries,
-        )
-        if inner.method == METHOD_ZERO_EIGENVALUE:
-            method = METHOD_ZERO_EIGENVALUE
-        elif inner.method == METHOD_SRQ2:
-            method = METHOD_TRANSPOSED_SRQ2
+    solver = perturbation = witness = None
+    converged = True
+    if linalg.smallest_singular_value(s_mat) <= _ZERO_GATE * max(1.0, linalg.norm1(s_mat)):
+        method, transposed = METHOD_ZERO_EIGENVALUE, False
+        value, x = 0.0, linalg.fix_phase(np.linalg.svd(s_mat)[2][-1].conj())
+        perturbation = SystemDelta.zero(system.r, system.n, system.d)
+    else:
+        transposed = route.transposed
+        method = f"transposed_{route.kind}" if transposed else route.kind
+        work = system.transpose() if transposed else system
+        em = assemble_error_matrices(work, lam)
+        if route.kind == METHOD_PENCIL:
+            value, x, witness = _solve_pencil(route, em)
         else:
-            method = METHOD_TRANSPOSED_PENCIL
-        witness = inner.infeasibility_witness
-        if witness is not None:
-            witness = f"transposed system: {witness}"
-        result = BackwardErrorResult(
-            eta=inner.eta,
-            x=inner.x,
-            method=method,
-            pattern=pattern,
-            lam=lam,
-            transposed=True,
-            converged=inner.converged,
-            perturbation=None if inner.perturbation is None else inner.perturbation.transpose(),
-            solver=inner.solver,
-            infeasibility_witness=witness,
-            certificate=None,
-        )
-        if math.isfinite(result.eta):
-            result = replace(result, certificate=certify(system, lam, pattern, result))
-        return result
-
-    em = assemble_error_matrices(system, lam)
-    if letters in _PENCIL_CASES:
-        outcome = _solve_pencil_case(letters, em)
-        if outcome.witness is not None:
-            return BackwardErrorResult(
-                eta=math.inf,
-                x=None,
-                method=METHOD_PENCIL,
-                pattern=pattern,
-                lam=lam,
-                transposed=False,
-                converged=True,
-                perturbation=None,
-                solver=None,
-                infeasibility_witness=outcome.witness,
-                certificate=None,
+            solver = srq2.solve(
+                srq2_problem_for(route.inner, em),
+                restarts=restarts,
+                seed=seed,
+                tol=tol,
+                max_iter=max_iter,
+                max_shift_tries=max_shift_tries,
             )
-        eta = math.sqrt(max(outcome.value_sq, 0.0))
-        result = BackwardErrorResult(
-            eta=eta,
-            x=outcome.x,
-            method=METHOD_PENCIL,
-            pattern=pattern,
-            lam=lam,
-            transposed=False,
-            converged=True,
-            perturbation=_try_reconstruct(system, lam, pattern, outcome.x),
-            solver=None,
-            infeasibility_witness=None,
-            certificate=None,
-        )
-        return replace(result, certificate=certify(system, lam, pattern, result))
-
-    problem = srq2_problem_for(pattern, em)
-    sol = srq2.solve(
-        problem,
-        restarts=restarts,
-        seed=seed,
-        tol=tol,
-        max_iter=max_iter,
-        max_shift_tries=max_shift_tries,
-    )
-    if not math.isfinite(sol.value):
-        return BackwardErrorResult(
-            eta=math.inf,
-            x=None,
-            method=METHOD_SRQ2,
-            pattern=pattern,
-            lam=lam,
-            transposed=False,
-            converged=False,
-            perturbation=None,
-            solver=sol,
-            infeasibility_witness="quotient-sum objective was unbounded at every candidate",
-            certificate=None,
-        )
-    eta = math.sqrt(max(sol.value, 0.0))
+            value, x, converged = solver.value, solver.x, solver.converged
+            if not math.isfinite(value):
+                value, x, converged = math.inf, None, False
+                witness = "quotient-sum objective was unbounded at every candidate"
+        if witness is None:
+            try:  # a feasibility violation is reported by the certificate
+                perturbation = _reconstruct(work, lam, route, x)
+            except ReconstructionError:
+                pass
+        elif transposed:
+            witness = f"transposed system: {witness}"
     result = BackwardErrorResult(
-        eta=eta,
-        x=sol.x,
-        method=METHOD_SRQ2,
+        eta=math.sqrt(max(value, 0.0)),
+        x=x,
+        method=method,
         pattern=pattern,
         lam=lam,
-        transposed=False,
-        converged=sol.converged,
-        perturbation=_try_reconstruct(system, lam, pattern, sol.x),
-        solver=sol,
-        infeasibility_witness=None,
-        certificate=None,
+        transposed=transposed,
+        converged=converged,
+        perturbation=perturbation,
+        solver=solver,
+        infeasibility_witness=witness,
     )
-    return replace(result, certificate=certify(system, lam, pattern, result))
+    if witness is None:
+        result = replace(result, certificate=certify(system, lam, pattern, result))
+    return result
 
 
-def _try_reconstruct(system, lam, pattern, x) -> SystemDelta | None:
-    """Reconstruction that reports feasibility violations through the
-    certificate instead of raising."""
-    try:
-        return reconstruct_perturbation(system, lam, pattern, x)
-    except ReconstructionError:
-        return None
-
-
-def _stacked_trailing(x2: np.ndarray, lam: complex, d: int) -> np.ndarray:
-    """The vector [x2; lam x2; ...; lam^d x2]."""
-    return np.concatenate([(lam**j) * x2 for j in range(d + 1)])
+def _row_maps(rhs: np.ndarray, parts: dict, open_blocks: str, res_tol: float) -> list:
+    """Minimal-Frobenius-norm maps, one per block of a block row, with
+    sum_k D_k parts[k] = rhs, where the blocks the pattern freezes keep zero
+    maps.  Raises ReconstructionError when the open blocks' coordinates
+    vanish but the row's residual does not."""
+    opened = [v for k, v in parts.items() if k in open_blocks]
+    v = np.concatenate(opened) if opened else np.zeros(0, dtype=np.complex128)
+    if np.linalg.norm(v) <= _FEAS_VEC_TOL:
+        if np.linalg.norm(rhs) > res_tol:
+            raise ReconstructionError(
+                "a block row is not annihilated at the minimizer and the "
+                f"pattern's blocks in it ({', '.join(parts)}) cannot act on it"
+            )
+        full = np.zeros((rhs.size, v.size), dtype=np.complex128)
+    else:
+        full = linalg.min_frobenius_map(v, rhs)
+    maps, start = [], 0
+    for k, part in parts.items():
+        if k in open_blocks:
+            maps.append(full[:, start : start + part.size])
+            start += part.size
+        else:
+            maps.append(np.zeros((rhs.size, part.size), dtype=np.complex128))
+    return maps
 
 
 def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> SystemDelta:
@@ -487,102 +429,39 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Syste
     makes lam an exact eigenvalue with null vector x.
 
     Each block row of S(lam) x is cancelled by the minimal map onto the
-    coordinates the pattern opens up; a row whose blocks are all frozen by
-    the pattern must already be annihilated by x, else the point is
-    infeasible and ReconstructionError is raised.  For transposed patterns
-    x is interpreted against the transposed system and the perturbation is
+    coordinates the pattern opens up: x1 for A and C, x2 for B, and
+    [x2; lam x2; ...; lam^d x2] for P.  A row whose open coordinates vanish
+    must already be annihilated by x, else the point is infeasible and
+    ReconstructionError is raised.  For transposed patterns x is
+    interpreted against the transposed system and the perturbation is
     mapped back.
     """
-    pattern = _as_pattern(pattern)
+    route = ROUTES[_as_pattern(pattern).letters]
+    return _reconstruct(system.transpose() if route.transposed else system, lam, route, x)
+
+
+def _reconstruct(work: RosenbrockSystem, lam, route: Route, x) -> SystemDelta:
+    """Reconstruction on the system the route solves on (the transposed one
+    for transposed routes), mapped back to the original system."""
     lam = complex(lam)
-    letters = pattern.letters
-    if letters in _TRANSPOSE_MAP:
-        inner = reconstruct_perturbation(
-            system.transpose(), lam, _TRANSPOSE_MAP[letters], x
-        )
-        return inner.transpose()
-    r, n, d = system.r, system.n, system.d
+    r, n, d = work.r, work.n, work.d
     x = np.asarray(x, dtype=np.complex128).ravel()
     if x.size != r + n:
         raise ValueError(f"minimizer must have length {r + n}")
     x = linalg.normalize(x)
     x1, x2 = x[:r], x[r:]
-    s_mat = system.evaluate(lam)
+    s_mat = work.evaluate(lam)
     res_tol = _RESIDUAL_FACTOR * max(1.0, linalg.norm1(s_mat))
-    r1 = s_mat[:r] @ x
-    r2 = s_mat[r:] @ x
-
-    delta = SystemDelta.zero(r, n, d)
-    dA, dB, dC = delta.dA.copy(), delta.dB.copy(), delta.dC.copy()
-    d_poly = [m.copy() for m in delta.d_poly]
-
-    in_a, in_b = "A" in pattern, "B" in pattern
-    in_c, in_p = "C" in pattern, "P" in pattern
-
-    if in_a and in_b:
-        full = linalg.min_frobenius_map(x, r1)
-        dA, dB = full[:, :r], full[:, r:]
-    elif in_a:
-        dA = _partial_row_map(r1, x1, res_tol, "leading")
-    elif in_b:
-        dB = _partial_row_map(r1, x2, res_tol, "trailing")
-    else:
-        if np.linalg.norm(r1) > res_tol:
-            raise ReconstructionError(
-                "first block row is not annihilated at the minimizer although "
-                "the pattern freezes A and B"
-            )
-
-    if in_c and in_p:
-        tilde = np.concatenate([x1, _stacked_trailing(x2, lam, d)])
-        full = linalg.min_frobenius_map(tilde, r2)
-        dC = full[:, :r]
-        for j in range(d + 1):
-            d_poly[j] = full[:, r + j * n : r + (j + 1) * n]
-    elif in_c:
-        dC = _partial_row_map(r2, x1, res_tol, "leading")
-    elif in_p:
-        if np.linalg.norm(x2) <= _FEAS_VEC_TOL:
-            if np.linalg.norm(r2) > res_tol:
-                raise ReconstructionError(
-                    "second block row needs a perturbation but the minimizer "
-                    "has no trailing component for P to act on"
-                )
-        else:
-            stacked = _stacked_trailing(x2, lam, d)
-            full = linalg.min_frobenius_map(stacked, r2)
-            for j in range(d + 1):
-                d_poly[j] = full[:, j * n : (j + 1) * n]
-    else:
-        if np.linalg.norm(r2) > res_tol:
-            raise ReconstructionError(
-                "second block row is not annihilated at the minimizer although "
-                "the pattern freezes C and P"
-            )
-
-    return SystemDelta(dA=dA, dB=dB, dC=dC, d_poly=tuple(d_poly))
+    trailing = np.concatenate([(lam**j) * x2 for j in range(d + 1)])
+    dA, dB = _row_maps(s_mat[:r] @ x, {"A": x1, "B": x2}, route.inner, res_tol)
+    dC, dP = _row_maps(s_mat[r:] @ x, {"C": x1, "P": trailing}, route.inner, res_tol)
+    d_poly = tuple(dP[:, j * n : (j + 1) * n] for j in range(d + 1))
+    delta = SystemDelta(dA=dA, dB=dB, dC=dC, d_poly=d_poly)
+    return delta.transpose() if route.transposed else delta
 
 
-def _partial_row_map(rhs: np.ndarray, part: np.ndarray, res_tol: float, which: str) -> np.ndarray:
-    if np.linalg.norm(part) <= _FEAS_VEC_TOL:
-        if np.linalg.norm(rhs) > res_tol:
-            raise ReconstructionError(
-                f"minimizer has zero {which} component but the corresponding "
-                "block row residual is nonzero"
-            )
-        return np.zeros((rhs.size, part.size), dtype=np.complex128)
-    return linalg.min_frobenius_map(part, rhs)
-
-
-def _route(letters: str) -> tuple[str, str, bool]:
-    if letters in _TRANSPOSE_MAP:
-        mapped = _TRANSPOSE_MAP[letters]
-        transposed = True
-    else:
-        mapped = letters
-        transposed = False
-    kind = "srq2" if mapped in _SRQ2_CASES else "pencil"
-    return kind, mapped, transposed
+def _check(name: str, value: float, bound: float) -> CertificateCheck:
+    return CertificateCheck(name=name, value=value, bound=bound, passed=value <= bound)
 
 
 def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult) -> Certificate:
@@ -594,25 +473,15 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
     pattern = _as_pattern(pattern)
     lam = complex(lam)
     s_mat = system.evaluate(lam)
-    scale = max(1.0, linalg.norm1(s_mat))
-    smin_bound = _RESIDUAL_FACTOR * scale
+    smin_bound = _RESIDUAL_FACTOR * max(1.0, linalg.norm1(s_mat))
 
     if result.method == METHOD_ZERO_EIGENVALUE:
         smin = linalg.smallest_singular_value(s_mat)
-        check = CertificateCheck(
-            name="sigma_min of the unperturbed evaluation",
-            value=smin,
-            bound=smin_bound,
-            passed=smin <= smin_bound,
+        checks = (
+            _check("sigma_min of the unperturbed evaluation", smin, smin_bound),
+            _check("eta equals the zero perturbation's norm", abs(result.eta), 0.0),
         )
-        return Certificate(
-            checks=(check,),
-            passed=check.passed,
-            delta_norm=0.0,
-            sigma_min_perturbed=smin,
-            nepv_residual=None,
-            pencil_residual=None,
-        )
+        return Certificate(checks, all(c.passed for c in checks), 0.0, smin)
 
     if not math.isfinite(result.eta) or result.x is None:
         raise ValueError("certify requires a finite result carrying a minimizer")
@@ -620,85 +489,45 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
     try:
         delta = reconstruct_perturbation(system, lam, pattern, result.x)
     except ReconstructionError as exc:
-        return Certificate(
-            checks=(),
-            passed=False,
-            delta_norm=math.nan,
-            sigma_min_perturbed=math.nan,
-            nepv_residual=None,
-            pencil_residual=None,
-            failure=str(exc),
-        )
+        return Certificate((), False, math.nan, math.nan, failure=str(exc))
 
-    checks = []
+    eta = result.eta
     delta_norm = delta.norm()
-    if result.eta > 0.0:
-        norm_match = abs(delta_norm - result.eta) / result.eta
-    else:
-        norm_match = abs(delta_norm)
-    checks.append(
-        CertificateCheck(
-            name="perturbation norm matches eta (relative)",
-            value=norm_match,
-            bound=_NORM_MATCH_TOL,
-            passed=norm_match <= _NORM_MATCH_TOL,
-        )
-    )
-    perturbed = delta.subtract_from(system).evaluate(lam)
-    smin = linalg.smallest_singular_value(perturbed)
-    checks.append(
-        CertificateCheck(
-            name="sigma_min of the perturbed evaluation",
-            value=smin,
-            bound=smin_bound,
-            passed=smin <= smin_bound,
-        )
-    )
+    norm_match = abs(delta_norm - eta) / eta if eta > 0.0 else abs(delta_norm)
+    smin = linalg.smallest_singular_value(delta.subtract_from(system).evaluate(lam))
+    checks = [
+        _check("perturbation norm matches eta (relative)", norm_match, _NORM_MATCH_TOL),
+        _check("sigma_min of the perturbed evaluation", smin, smin_bound),
+    ]
 
-    kind, mapped, transposed = _route(pattern.letters)
-    work_system = system.transpose() if transposed else system
-    nepv_residual = None
-    pencil_residual = None
-    if kind == "srq2":
-        em = assemble_error_matrices(work_system, lam)
-        problem = srq2_problem_for(mapped, em)
+    route = ROUTES[pattern.letters]
+    em = assemble_error_matrices(system.transpose() if route.transposed else system, lam)
+    x = np.asarray(result.x, dtype=np.complex128).ravel()
+    nepv_residual = pencil_residual = None
+    if route.kind == METHOD_SRQ2:
         try:
-            info = srq2.nepv_residuals(problem, result.x)
+            info = srq2.nepv_residuals(srq2_problem_for(route.inner, em), x)
         except srq2.NondifferentiablePointError:
             info = None
         if info is not None:
             nepv_residual = info.rel_residual
             checks.append(
-                CertificateCheck(
-                    name="stationarity residual (relative)",
-                    value=info.rel_residual,
-                    bound=_NEPV_CERT_TOL,
-                    passed=info.rel_residual <= _NEPV_CERT_TOL,
-                )
+                _check("stationarity residual (relative)", nepv_residual, _NEPV_CERT_TOL)
             )
     else:
-        em = assemble_error_matrices(work_system, lam)
-        basis, m, nmat, _, value_scale = _pencil_data(mapped, em)
+        basis, m, nmat, _, scale = _pencil_data(route, em)
         if basis.shape[1] > 0:
-            y = basis.conj().T @ np.asarray(result.x, dtype=np.complex128).ravel()
-            mu = result.eta**2 / value_scale
+            y = basis.conj().T @ x
+            mu = eta**2 / scale
             pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))
-            bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + abs(mu) * linalg.norm1(nmat))
-            checks.append(
-                CertificateCheck(
-                    name="pencil eigenpair residual",
-                    value=pencil_residual,
-                    bound=bound,
-                    passed=pencil_residual <= bound,
-                )
-            )
+            bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + mu * linalg.norm1(nmat))
+            checks.append(_check("pencil eigenpair residual", pencil_residual, bound))
 
-    passed = all(c.passed for c in checks)
     return Certificate(
-        checks=tuple(checks),
-        passed=passed,
-        delta_norm=delta_norm,
-        sigma_min_perturbed=smin,
-        nepv_residual=nepv_residual,
-        pencil_residual=pencil_residual,
+        tuple(checks),
+        all(c.passed for c in checks),
+        delta_norm,
+        smin,
+        nepv_residual,
+        pencil_residual,
     )

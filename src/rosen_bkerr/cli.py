@@ -88,9 +88,8 @@ def _require_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
-def load_system_document(path) -> RosenbrockSystem:
-    """Parse and validate a system document, rejecting missing fields,
-    dimension mismatches, ragged rows and non-finite entries."""
+def _read_object(path) -> dict:
+    """The JSON object stored in the file ``path``."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -101,6 +100,13 @@ def load_system_document(path) -> RosenbrockSystem:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliInputError(f"{path}: top level must be an object")
+    return doc
+
+
+def load_system_document(path) -> RosenbrockSystem:
+    """Parse and validate a system document, rejecting missing fields,
+    dimension mismatches, ragged rows and non-finite entries."""
+    doc = _read_object(path)
     where = str(path)
     r = _require_int(doc, "r", where)
     n = _require_int(doc, "n", where)
@@ -138,12 +144,7 @@ def system_to_document(system: RosenbrockSystem) -> dict:
 
 
 def load_srq2_document(path) -> srq2.Srq2Problem:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliInputError(f"{path}: top level must be an object")
+    doc = _read_object(path)
     where = str(path)
     n = _require_int(doc, "n", where)
     if n < 1:
@@ -203,15 +204,6 @@ def result_to_document(result: BackwardErrorResult) -> dict:
                 for c in cert.checks
             ],
         }
-    solver = None
-    if result.solver is not None:
-        sol = result.solver
-        solver = {
-            "iterations": sol.iterations,
-            "residual": None if math.isnan(sol.rel_residual) else sol.rel_residual,
-            "shiftsUsed": list(sol.shifts_used),
-            "converged": sol.converged,
-        }
     return {
         "schemaVersion": SCHEMA_VERSION,
         "pattern": result.pattern.letters,
@@ -222,16 +214,21 @@ def result_to_document(result: BackwardErrorResult) -> dict:
         "x": None if result.x is None else _vector_to_pairs(result.x),
         "infeasibilityWitness": result.infeasibility_witness,
         "certificates": certificates,
-        "solver": solver,
+        "solver": None if result.solver is None else _solver_document(result.solver),
+    }
+
+
+def _solver_document(sol: srq2.Srq2Solution) -> dict:
+    return {
+        "iterations": sol.iterations,
+        "residual": None if math.isnan(sol.rel_residual) else sol.rel_residual,
+        "shiftsUsed": list(sol.shifts_used),
+        "converged": sol.converged,
     }
 
 
 def serialize_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_document(text: str) -> dict:
-    return json.loads(text)
 
 
 def _write_output(text: str, out_path) -> None:
@@ -279,13 +276,7 @@ def _float_repr(x: float) -> str:
 
 
 def cmd_jnr(args) -> int:
-    try:
-        raw = json.loads(Path(args.system).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read {args.system}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise CliInputError(f"{args.system}: top level must be an object")
-    if "A1" in raw:
+    if "A1" in _read_object(args.system):
         problem = load_srq2_document(args.system)
     else:
         system = load_system_document(args.system)
@@ -326,12 +317,7 @@ def cmd_jnr(args) -> int:
         "rhoAtSolution": [float(v) for v in y_star],
         "supportGap": gap,
         "boundaryObjectiveGap": boundary_min - solution.value,
-        "solver": {
-            "iterations": solution.iterations,
-            "residual": None if math.isnan(solution.rel_residual) else solution.rel_residual,
-            "shiftsUsed": list(solution.shifts_used),
-            "converged": solution.converged,
-        },
+        "solver": _solver_document(solution),
     }
     if args.out is not None:
         Path(str(args.out) + ".meta.json").write_text(
@@ -344,12 +330,7 @@ def cmd_jnr(args) -> int:
 
 def cmd_certify(args) -> int:
     system = load_system_document(args.system)
-    try:
-        doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read {args.result}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliInputError(f"{args.result}: top level must be an object")
+    doc = _read_object(args.result)
     where = str(args.result)
     try:
         pattern = PerturbationPattern.from_string(str(doc.get("pattern", "")))
@@ -366,20 +347,15 @@ def cmd_certify(args) -> int:
     if x_field is None:
         raise CliInputError(f"{where}: result carries no minimizer to certify")
     x = _pairs_to_vector(x_field, f"{where}: x")
-    shim = BackwardErrorResult(
+    stored = BackwardErrorResult(
         eta=float(eta_field),
         x=x,
         method=str(doc.get("method", "")),
         pattern=pattern,
         lam=lam,
         transposed=bool(doc.get("transposed", False)),
-        converged=True,
-        perturbation=None,
-        solver=None,
-        infeasibility_witness=None,
-        certificate=None,
     )
-    cert = certify(system, lam, pattern, shim)
+    cert = certify(system, lam, pattern, stored)
     header = f"{'check':<42} {'value':>14} {'bound':>14} verdict"
     print(header)
     print("-" * len(header))

@@ -1,21 +1,18 @@
 """Dense complex linear-algebra kernels shared by the whole package.
 
-Hermitian eigendecompositions, definite and semidefinite generalized
-eigenvalue pencils, positive-semidefinite null spaces, minimal
-Frobenius-norm linear maps, and smallest singular values.  All functions
+Hermitian parts, definite and semidefinite generalized eigenvalue
+pencils, positive-semidefinite null spaces, minimal Frobenius-norm linear
+maps, and smallest singular values.  All functions
 accept array-likes, promote to complex128, reject non-finite input, and
 treat nominally Hermitian matrices defensively by symmetrizing.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = [
-    "EigResult",
     "EigenConvergenceError",
     "IndefiniteMatrixError",
     "InfeasibleMapError",
@@ -24,7 +21,6 @@ __all__ = [
     "as_complex_vector",
     "definite_pencil_smallest",
     "fix_phase",
-    "hermitian_eig",
     "hermitian_part",
     "min_frobenius_map",
     "norm1",
@@ -107,26 +103,6 @@ def hermitian_part(m, name: str = "matrix") -> tuple[np.ndarray, float]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     h = (m + m.conj().T) / 2.0
     return h, float(np.linalg.norm(m - h))
-
-
-class EigResult(NamedTuple):
-    """Ascending eigenvalues and the matching unitary eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(m) -> EigResult:
-    """Full eigendecomposition of a Hermitian matrix, values ascending."""
-    h, _ = hermitian_part(m)
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigendecomposition of a {h.shape[0]}x{h.shape[1]} Hermitian matrix "
-            f"did not converge: {exc}"
-        ) from exc
-    return EigResult(values, vectors)
 
 
 def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:

@@ -27,6 +27,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def aggregate_norm(*blocks) -> float:
+    """The root of the summed squared Frobenius norms of the blocks."""
+    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
+
+
+def transposed_blocks(a, b, c, poly) -> tuple:
+    """The blocks (A^T, C^T, B^T, P_j^T) of the transposed system, copied."""
+    return a.T.copy(), c.T.copy(), b.T.copy(), tuple(m.T.copy() for m in poly)
+
+
 @dataclass(frozen=True)
 class RosenbrockSystem:
     """Immutable container for the blocks A (r x r), B (r x n), C (n x r)
@@ -97,25 +107,13 @@ class RosenbrockSystem:
         return np.vstack([top, bottom])
 
     def norm(self) -> float:
-        """Aggregate norm: the root of the summed squared Frobenius norms of
-        A, B, C and every polynomial coefficient."""
-        total = (
-            np.linalg.norm(self.A) ** 2
-            + np.linalg.norm(self.B) ** 2
-            + np.linalg.norm(self.C) ** 2
-            + sum(np.linalg.norm(c) ** 2 for c in self.poly_coeffs)
-        )
-        return float(np.sqrt(total))
+        """Aggregate norm of A, B, C and every polynomial coefficient."""
+        return aggregate_norm(self.A, self.B, self.C, *self.poly_coeffs)
 
     def transpose(self) -> "RosenbrockSystem":
         """The system whose evaluation is S(z)^T: swaps B and C transposed,
         transposes A and every coefficient.  An involution."""
-        return RosenbrockSystem(
-            A=self.A.T.copy(),
-            B=self.C.T.copy(),
-            C=self.B.T.copy(),
-            poly_coeffs=tuple(c.T.copy() for c in self.poly_coeffs),
-        )
+        return RosenbrockSystem(*transposed_blocks(self.A, self.B, self.C, self.poly_coeffs))
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,6 @@ class ErrorMatrices:
     gamma: float
     lam: complex
     asymmetry: float
-
-    @property
-    def dim(self) -> int:
-        return self.g1.shape[0]
 
     @property
     def h_lambda(self) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
     "CommonNullViolationError",
     "NondiffCandidate",
     "NondifferentiablePointError",
+    "PATTERN_SCALARS",
     "PATTERN_TEMPLATES",
     "ResidualInfo",
     "SOURCE_NONDIFF_1",
@@ -123,17 +124,14 @@ class Srq2Problem:
                 raise ValueError(
                     f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
                 )
-        eye = np.eye(self.n)
-        b1 = self.alpha1 * eye + self.beta1 * self.a3
-        b2 = self.alpha2 * eye + self.beta2 * self.a3
-        for i, b in enumerate((b1, b2), start=1):
+        for i, b in enumerate((self.b1, self.b2), start=1):
             wmin = float(np.linalg.eigvalsh(b)[0])
             if wmin < -_PSD_TOL * max(1.0, linalg.norm1(b)):
                 raise ValueError(
                     f"denominator matrix {i} is not positive semidefinite "
                     f"(smallest eigenvalue {wmin:.3e})"
                 )
-        s = b1 + b2
+        s = self.b1 + self.b2
         wmin = float(np.linalg.eigvalsh(s)[0])
         common = wmin > _PSD_TOL * max(1.0, linalg.norm1(s))
         object.__setattr__(self, "asymmetry", asym)
@@ -234,15 +232,20 @@ class ResidualInfo(NamedTuple):
     smallest_eig_gap: float
 
 
+def _rel_residual(h: np.ndarray, x: np.ndarray):
+    """H(x) x, the Rayleigh quotient s = x* H(x) x and the relative residual
+    || H(x) x - s x || / (||H(x)||_1 + 1) at a unit vector x."""
+    hx = h @ x
+    s = float(np.real(np.vdot(x, hx)))
+    return hx, s, float(np.linalg.norm(hx - s * x)) / (linalg.norm1(h) + 1.0)
+
+
 def nepv_residuals(problem: Srq2Problem, x) -> ResidualInfo:
     x = linalg.normalize(np.asarray(x, dtype=np.complex128).ravel())
     h = nepv_matrix(problem, x)
-    w = np.linalg.eigvalsh(h)
-    hx = h @ x
-    s = float(np.real(np.vdot(x, hx)))
-    rel = float(np.linalg.norm(hx - s * x)) / (linalg.norm1(h) + 1.0)
-    nepv = float(np.linalg.norm(hx - w[0] * x))
-    return ResidualInfo(nepv, rel, s - float(w[0]))
+    w0 = float(np.linalg.eigvalsh(h)[0])
+    hx, s, rel = _rel_residual(h, x)
+    return ResidualInfo(float(np.linalg.norm(hx - w0 * x)), rel, s - w0)
 
 
 @dataclass(frozen=True)
@@ -267,23 +270,11 @@ class Srq2Solution:
     tol: float
 
 
-class _Diag(NamedTuple):
-    h: np.ndarray
-    w: np.ndarray
-    vecs: np.ndarray
-    s: float
-    rel_residual: float
-    nepv_residual: float
-
-
-def _diagnose(problem: Srq2Problem, x: np.ndarray) -> _Diag:
+def _diagnose(problem: Srq2Problem, x: np.ndarray):
+    """H(x), its eigenvalues and eigenvectors, and the relative residual."""
     h = nepv_matrix(problem, x)
     w, vecs = np.linalg.eigh(h)
-    hx = h @ x
-    s = float(np.real(np.vdot(x, hx)))
-    rel = float(np.linalg.norm(hx - s * x)) / (linalg.norm1(h) + 1.0)
-    nepv = float(np.linalg.norm(hx - w[0] * x))
-    return _Diag(h, w, vecs, s, rel, nepv)
+    return h, w, vecs, _rel_residual(h, x)[2]
 
 
 def _solution_at(problem, x, *, iterations, shifts, source, converged, tol):
@@ -363,42 +354,42 @@ def scf_solve(
     iterations = 0
     converged = False
     for k in range(max_iter + 1):
-        diag = _diagnose(problem, x)
-        if diag.rel_residual <= tol:
+        h, w, vecs, rel_residual = _diagnose(problem, x)
+        if rel_residual <= tol:
             iterations = k
             converged = True
             break
         if k == max_iter:
             iterations = k
             break
-        if diag.w.size > 1:
-            delta = float(diag.w[1] - diag.w[0])
+        if w.size > 1:
+            delta = float(w[1] - w[0])
         else:
             delta = 0.0
         if delta <= 1e-14:
-            delta = max(1e-8, 1e-8 * linalg.norm1(diag.h))
+            delta = max(1e-8, 1e-8 * linalg.norm1(h))
         accepted = False
         for t in range(max_shift_tries):
             if t == 0:
                 sigma = 0.0
-                cand = diag.vecs[:, 0]
+                cand = vecs[:, 0]
             else:
                 sigma = 2.0**t * delta
                 try:
-                    _, vecs = np.linalg.eigh(diag.h - sigma * np.outer(x, x.conj()))
+                    _, shifted = np.linalg.eigh(h - sigma * np.outer(x, x.conj()))
                 except np.linalg.LinAlgError:
                     continue
-                cand = vecs[:, 0]
+                cand = shifted[:, 0]
             cand = linalg.fix_phase(cand)
             f_new = objective(problem, cand)
             if f_new < f - _SHIFT_SLACK:
                 ok = True
             elif f_new <= f + _EPS_FLOOR * max(1.0, abs(f)):
                 try:
-                    res_new = _diagnose(problem, cand).rel_residual
+                    res_new = _rel_residual(nepv_matrix(problem, cand), cand)[2]
                 except NondifferentiablePointError:
                     res_new = math.inf
-                ok = res_new < diag.rel_residual - _SHIFT_SLACK
+                ok = res_new < rel_residual - _SHIFT_SLACK
             else:
                 ok = False
             if ok:
@@ -679,7 +670,20 @@ def brute_force_oracle(
 # ---------------------------------------------------------------------------
 # Seeded instance generator shaped like the backward-error reductions.
 
-PATTERN_TEMPLATES = ("AP", "BC", "ABC", "ABP", "ACP", "BCP", "ABCP")
+# The scalar pairs (alpha1, beta1, alpha2, beta2) of the quotient sum a
+# block pattern reduces to, as functions of the polynomial weight gamma.
+# ACP is the direct form of the pattern that backward errors compute as ABP
+# on the transposed system.
+PATTERN_SCALARS = {
+    "AP": lambda gamma: (1.0, -1.0, 0.0, 1.0),
+    "BC": lambda gamma: (0.0, 1.0, 1.0, -1.0),
+    "ABC": lambda gamma: (1.0, 0.0, 1.0, -1.0),
+    "ABP": lambda gamma: (1.0, 0.0, 0.0, 1.0),
+    "ACP": lambda gamma: (1.0, -1.0, 1.0, gamma - 1.0),
+    "BCP": lambda gamma: (0.0, 1.0, 1.0, gamma - 1.0),
+    "ABCP": lambda gamma: (1.0, 0.0, 1.0, gamma - 1.0),
+}
+PATTERN_TEMPLATES = tuple(PATTERN_SCALARS)
 
 
 def random_problem(n, rng, template: str = "ABCP", *, rank_deficient: bool = False) -> Srq2Problem:
@@ -711,13 +715,4 @@ def random_problem(n, rng, template: str = "ABCP", *, rank_deficient: bool = Fal
     else:
         a1 = psd(n)
         a2 = psd(n)
-    params = {
-        "AP": (1.0, -1.0, 0.0, 1.0),
-        "BC": (0.0, 1.0, 1.0, -1.0),
-        "ABC": (1.0, 0.0, 1.0, -1.0),
-        "ABP": (1.0, 0.0, 0.0, 1.0),
-        "ACP": (1.0, -1.0, 1.0, gamma - 1.0),
-        "BCP": (0.0, 1.0, 1.0, gamma - 1.0),
-        "ABCP": (1.0, 0.0, 1.0, gamma - 1.0),
-    }[template]
-    return Srq2Problem(a1, a2, a3, *params)
+    return Srq2Problem(a1, a2, a3, *PATTERN_SCALARS[template](gamma))

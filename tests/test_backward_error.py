@@ -2,6 +2,7 @@
 and oracle cross-checks, feasibility witnesses, reconstruction, and the
 from-scratch certificates."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from rosen_bkerr import linalg, srq2
 from rosen_bkerr.backward_error import (
+    ROUTES,
     PerturbationPattern,
     SystemDelta,
     all_patterns,
@@ -305,3 +307,76 @@ def test_pencil_route_solver_field_empty():
     assert result2.method == "srq2"
     assert result2.solver is not None
     assert result2.solver.converged
+
+
+# ---------------------------------------------------------------------------
+# The route table is the single pattern-to-route map.
+
+
+_be = importlib.import_module("rosen_bkerr.backward_error")
+
+
+class _FixedUniform:
+    """A Generator stand-in whose ``uniform`` draw is fixed, which pins the
+    gamma that ``srq2.random_problem`` draws."""
+
+    def __init__(self, rng, value):
+        self._rng, self._value = rng, value
+
+    def uniform(self, *args, **kwargs):
+        return self._value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("letters", [p.letters for p in all_patterns()])
+def test_route_table_entry_matches_result(letters, monkeypatch):
+    route = ROUTES[letters]
+    if route.transposed:
+        assert route == replace(ROUTES[route.inner], transposed=True)
+    else:
+        assert route.inner == letters
+    rng = np.random.default_rng(21)
+    system = random_system(rng, r=2, n=3, d=1)
+    lam = 0.3 + 0.4j
+    s_mat = system.evaluate(lam)
+    gates, certificates = [], []
+    smallest_singular_value, certify_fn = linalg.smallest_singular_value, _be.certify
+
+    def counting_smin(m):
+        m = np.asarray(m)
+        if np.array_equal(m, s_mat) or np.array_equal(m, s_mat.T):
+            gates.append(m)
+        return smallest_singular_value(m)
+
+    def counting_certify(*args, **kwargs):
+        certificates.append(args)
+        return certify_fn(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smallest_singular_value", counting_smin)
+    monkeypatch.setattr(_be, "certify", counting_certify)
+    result = _be.backward_error(system, lam, letters, restarts=2)
+    assert result.method == (f"transposed_{route.kind}" if route.transposed else route.kind)
+    assert result.transposed == route.transposed
+    assert math.isfinite(result.eta) and result.certificate.passed
+    # one zero gate on S(lambda) and one certificate, also for transposed routes
+    assert len(gates) == 1
+    assert len(certificates) == 1
+
+
+@pytest.mark.parametrize("letters", [p.letters for p in all_patterns()])
+def test_route_scalar_pairs_match_random_problem(letters):
+    route = ROUTES[letters]
+    rng = np.random.default_rng(22)
+    system = random_system(rng, r=2, n=2, d=1)
+    em = assemble_error_matrices(system, 1.5)  # gamma = 1 + 1.5^2 = 3.25
+    if route.kind != "srq2":
+        with pytest.raises(ValueError):
+            srq2_problem_for(route.inner, em)
+        return
+    problem = srq2_problem_for(route.inner, em)
+    sampled = srq2.random_problem(4, _FixedUniform(rng, 2.25), route.inner)
+    pairs = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
+    assert pairs == (sampled.alpha1, sampled.beta1, sampled.alpha2, sampled.beta2)
+    assert pairs == route.scalars(3.25)

@@ -174,6 +174,25 @@ def test_certify_detects_tampering(tmp_path, capsys):
     assert code == 2
     assert "FAIL" in captured.out
 
+    # a zero-eigenvalue result: lambda is an eigenvalue of A - B P0^-1 C, so
+    # the stored eta must be the zero perturbation's norm
+    system = RosenbrockSystem(
+        A=np.diag([1.0, 2.0]), B=np.ones((2, 1)), C=np.ones((1, 2)), poly_coeffs=([[3.0]],)
+    )
+    lam = float(np.linalg.eigvalsh(np.diag([1.0, 2.0]) - np.ones((2, 2)) / 3.0)[0])
+    sys_path = write_system(tmp_path, system, "eigen.json")
+    args = ["--system", str(sys_path), "--lambda", f"{lam!r}+0.0i", "--pattern", "AB"]
+    assert cli.main(["compute", *args, "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["method"] == "zero_eigenvalue" and doc["eta"] == 0.0
+    doc["eta"] = 5.0
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["certify", "--system", str(sys_path), "--result", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "FAIL" in captured.out
+
 
 def test_compute_pencil_pattern_writes_no_solver_block(tmp_path):
     rng = np.random.default_rng(3)
