@@ -20,12 +20,15 @@ import numpy as np
 
 from . import jnr, linalg, srq2
 from .backward_error import (
+    METHOD_SRQ2,
+    ROUTES,
     BackwardErrorResult,
     PerturbationPattern,
     backward_error,
     certify,
+    srq2_problem_for,
 )
-from .rosenbrock import RosenbrockSystem
+from .rosenbrock import RosenbrockSystem, assemble_error_matrices
 
 SCHEMA_VERSION = "1"
 
@@ -106,8 +109,10 @@ def _read_object(path) -> dict:
 def load_system_document(path) -> RosenbrockSystem:
     """Parse and validate a system document, rejecting missing fields,
     dimension mismatches, ragged rows and non-finite entries."""
-    doc = _read_object(path)
-    where = str(path)
+    return _system_from_document(_read_object(path), str(path))
+
+
+def _system_from_document(doc: dict, where: str) -> RosenbrockSystem:
     r = _require_int(doc, "r", where)
     n = _require_int(doc, "n", where)
     d = _require_int(doc, "d", where)
@@ -144,8 +149,10 @@ def system_to_document(system: RosenbrockSystem) -> dict:
 
 
 def load_srq2_document(path) -> srq2.Srq2Problem:
-    doc = _read_object(path)
-    where = str(path)
+    return _srq2_from_document(_read_object(path), str(path))
+
+
+def _srq2_from_document(doc: dict, where: str) -> srq2.Srq2Problem:
     n = _require_int(doc, "n", where)
     if n < 1:
         raise CliInputError(f"{where}: need n >= 1")
@@ -276,21 +283,24 @@ def _float_repr(x: float) -> str:
 
 
 def cmd_jnr(args) -> int:
-    if "A1" in _read_object(args.system):
-        problem = load_srq2_document(args.system)
+    doc = _read_object(args.system)
+    where = str(args.system)
+    if "A1" in doc:
+        problem = _srq2_from_document(doc, where)
     else:
-        system = load_system_document(args.system)
+        system = _system_from_document(doc, where)
         if args.lam is None:
             raise CliInputError("--lambda is required with a system document")
         lam = parse_complex_literal(args.lam)
-        from .backward_error import srq2_problem_for
-        from .rosenbrock import assemble_error_matrices
-
         try:
-            problem = srq2_problem_for(
-                PerturbationPattern.from_string(args.pattern),
-                assemble_error_matrices(system, lam),
-            )
+            route = ROUTES[PerturbationPattern.from_string(args.pattern).letters]
+            if route.kind != METHOD_SRQ2:
+                raise ValueError(
+                    f"pattern {args.pattern} does not reduce to a two-quotient minimization"
+                )
+            # a transposed pattern's quotient data lives on the transposed system
+            work = system.transpose() if route.transposed else system
+            problem = srq2_problem_for(route.inner, assemble_error_matrices(work, lam))
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
     matrices = (problem.a1, problem.a2, problem.a3)

@@ -558,15 +558,14 @@ def solve(
 def _batch_forms(problem, X):
     n = problem.n
     y = problem.stacked @ X
-    y1, y2, y3 = y[:n], y[n : 2 * n], y[2 * n :]
     xc = X.conj()
-    q1 = np.real(np.einsum("ij,ij->j", xc, y1))
-    q2 = np.real(np.einsum("ij,ij->j", xc, y2))
-    q3 = np.real(np.einsum("ij,ij->j", xc, y3))
+    q1 = np.real(np.einsum("ij,ij->j", xc, y[:n]))
+    q2 = np.real(np.einsum("ij,ij->j", xc, y[n : 2 * n]))
+    q3 = np.real(np.einsum("ij,ij->j", xc, y[2 * n :]))
     nrm2 = np.real(np.einsum("ij,ij->j", xc, X))
     d1 = problem.alpha1 * nrm2 + problem.beta1 * q3
     d2 = problem.alpha2 * nrm2 + problem.beta2 * q3
-    return q1, q2, q3, nrm2, d1, d2, y1, y2, y3
+    return q1, q2, q3, nrm2, d1, d2, y
 
 
 def _quotient_batch(q, d, nrm2, num_eps, den_eps):
@@ -576,33 +575,89 @@ def _quotient_batch(q, d, nrm2, num_eps, den_eps):
     return out
 
 
-def _batch_objective(problem, X):
-    q1, q2, _, nrm2, d1, d2, *_ = _batch_forms(problem, X)
+def _quotient_sum(problem, q1, q2, nrm2, d1, d2):
     return _quotient_batch(q1, d1, nrm2, problem.num_eps1, problem.den_eps1) + _quotient_batch(
         q2, d2, nrm2, problem.num_eps2, problem.den_eps2
     )
 
 
+def _batch_objective(problem, X):
+    q1, q2, _, nrm2, d1, d2, _ = _batch_forms(problem, X)
+    return _quotient_sum(problem, q1, q2, nrm2, d1, d2)
+
+
+# Armijo backtracking: trial steps t 2^-k for k = 0..24, sufficient decrease
+# 1e-4 t ||g||^2, and no trial step at or below _MIN_STEP.
+_LADDER = 0.5 ** np.arange(25)
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-18
+
+
+def _ladder_objective(problem, X, G, t, q1, q2, nrm2, d1, d2, y):
+    """Objective at x - s g for every column and every trial step
+    s = t 2^-k, k = 0..24, with one matmul: along that line each quadratic
+    form is a quadratic polynomial in s,
+
+        (x - s g)* M (x - s g) = x*Mx - 2 s Re(g*Mx) + s^2 g*Mg,
+
+    and the quotient conventions are scale invariant, so the unnormalized
+    point prices the retraction (x - s g) / ||x - s g||.  ``q1, q2, nrm2,
+    d1, d2, y`` are the ``_batch_forms`` of X.  Returns the steps and the
+    values, both of shape (25, columns)."""
+    n = problem.n
+    gc = G.conj()
+    # Re(g* M x) and g* M g for M = A1, A2, A3, I
+    lin = np.real(np.einsum("ij,kij->kj", gc, np.vstack((y, X)).reshape(4, n, -1)))
+    quad = np.real(
+        np.einsum("ij,kij->kj", gc, np.vstack((problem.stacked @ G, G)).reshape(4, n, -1))
+    )
+
+    def with_denominators(c):  # M = A1, A2, alpha1 I + beta1 A3, alpha2 I + beta2 A3, I
+        return np.array(
+            (
+                c[0],
+                c[1],
+                problem.alpha1 * c[3] + problem.beta1 * c[2],
+                problem.alpha2 * c[3] + problem.beta2 * c[2],
+                c[3],
+            )
+        )[:, None]
+
+    s = _LADDER[:, None] * t
+    forms = with_denominators(quad) * s
+    forms -= 2.0 * with_denominators(lin)
+    forms *= s
+    forms += np.array((q1, q2, d1, d2, nrm2))[:, None]
+    q1s, q2s, d1s, d2s, nrm2s = forms
+    return s, _quotient_sum(problem, q1s, q2s, nrm2s, d1s, d2s)
+
+
 def _batch_polish(problem, X, f, steps):
-    """Projected gradient descent with Armijo backtracking, vectorized over
-    the sample columns.  Columns where a denominator vanishes are frozen."""
-    b = X.shape[1]
-    t = np.ones(b)
-    armijo = 1e-4
+    """Projected gradient descent on the sphere with Armijo backtracking,
+    vectorized over the sample columns.  Each step prices a column's whole
+    backtracking ladder at once (``_ladder_objective``) and takes its first
+    trial step with sufficient decrease; an accepted step doubles (capped at
+    1e6) for the next iteration, and a column whose trials all fail keeps
+    the halved step, as a one-trial-at-a-time search would.  Columns where a
+    denominator vanishes or the step has fallen to 1e-18 are frozen.  The
+    returned values are the closed-form ones."""
+    n = problem.n
+    t = np.ones(X.shape[1])
     for _ in range(steps):
-        q1, q2, _, nrm2, d1, d2, y1, y2, y3 = _batch_forms(problem, X)
+        q1, q2, _, nrm2, d1, d2, y = _batch_forms(problem, X)
         live = (
             (d1 > problem.den_eps1 * nrm2)
             & (d2 > problem.den_eps2 * nrm2)
             & np.isfinite(f)
-            & (t > 1e-18)
+            & (t > _MIN_STEP)
         )
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
         d1i, d2i = d1[idx], d2[idx]
         coeff3 = q1[idx] * problem.beta1 / d1i**2 + q2[idx] * problem.beta2 / d2i**2
-        hx = y1[:, idx] / d1i + y2[:, idx] / d2i - coeff3 * y3[:, idx]
+        yi = y[:, idx]
+        hx = yi[:n] / d1i + yi[n : 2 * n] / d2i - coeff3 * yi[2 * n :]
         xi = X[:, idx]
         s = np.real(np.einsum("ij,ij->j", xi.conj(), hx))
         grad = hx - xi * s
@@ -611,26 +666,25 @@ def _batch_polish(problem, X, f, steps):
         idx = idx[moving]
         if idx.size == 0:
             break
-        grad = grad[:, moving]
-        gnorm2 = gnorm2[moving]
-        sub = np.arange(idx.size)
-        for _bt in range(25):
-            if sub.size == 0:
-                break
-            cols = idx[sub]
-            cand = X[:, cols] - grad[:, sub] * t[cols]
-            norms = np.linalg.norm(cand, axis=0)
-            norms[norms == 0.0] = 1.0
-            cand = cand / norms
-            fc = _batch_objective(problem, cand)
-            ok = fc <= f[cols] - armijo * t[cols] * gnorm2[sub]
-            acc = cols[ok]
-            X[:, acc] = cand[:, ok]
-            f[acc] = fc[ok]
-            t[acc] = np.minimum(t[acc] * 2.0, 1e6)
-            sub = sub[~ok]
-            t[idx[sub]] *= 0.5
-            sub = sub[t[idx[sub]] > 1e-18]
+        xi, grad, gnorm2 = xi[:, moving], grad[:, moving], gnorm2[moving]
+        trial, fc = _ladder_objective(
+            problem, xi, grad, t[idx], q1[idx], q2[idx], nrm2[idx], d1[idx], d2[idx], yi[:, moving]
+        )
+        tried = trial > _MIN_STEP
+        ok = tried & (fc <= f[idx] - _ARMIJO * trial * gnorm2)
+        t[idx] *= 0.5 ** np.count_nonzero(tried, axis=0)
+        hit = np.flatnonzero(ok.any(axis=0))
+        if hit.size == 0:
+            continue
+        first = np.argmax(ok[:, hit], axis=0)
+        step = trial[first, hit]
+        cand = xi[:, hit] - grad[:, hit] * step
+        norms = np.linalg.norm(cand, axis=0)
+        norms[norms == 0.0] = 1.0
+        acc = idx[hit]
+        X[:, acc] = cand / norms
+        f[acc] = fc[first, hit]
+        t[acc] = np.minimum(step * 2.0, 1e6)
     return X, f
 
 
@@ -644,13 +698,21 @@ def brute_force_oracle(
 ) -> float:
     """Sampled estimate of the global minimum, independent of ``solve``:
     ``budget`` complex-normal unit vectors, the ``polish_top`` best of which
-    are refined by projected gradient descent on the sphere with Armijo
-    backtracking.  Pruning to the best columns can only raise the reported
-    minimum, never lower it, so it cannot mask a solver that overshoots.
-    Deterministic for a given seed."""
+    are refined by ``polish_steps`` steps of projected gradient descent on
+    the sphere with Armijo backtracking (``polish_top`` = 0 or >= ``budget``
+    polishes every sample; ``polish_steps`` = 0 polishes none).  The
+    returned value is the objective evaluated directly at one of the points
+    held, sampled or polished.  Pruning to the best columns can only raise
+    the reported minimum, never lower it, so it cannot mask a solver that
+    overshoots.  Deterministic for a given seed."""
     budget = int(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
+    polish_steps, polish_top = int(polish_steps), int(polish_top)
+    if polish_steps < 0:
+        raise ValueError("polish_steps must be nonnegative")
+    if polish_top < 0:
+        raise ValueError("polish_top must be nonnegative")
     rng = np.random.default_rng(seed)
     n = problem.n
     X = rng.standard_normal((n, budget)) + 1j * rng.standard_normal((n, budget))
@@ -658,13 +720,14 @@ def brute_force_oracle(
     norms[norms == 0.0] = 1.0
     X = X / norms
     f = _batch_objective(problem, X)
-    if polish_steps > 0:
-        if 0 < polish_top < budget:
-            keep = np.argpartition(f, polish_top)[:polish_top]
-            Xp, fp = _batch_polish(problem, X[:, keep].copy(), f[keep].copy(), polish_steps)
-            return float(min(np.min(f), np.min(fp)))
-        X, f = _batch_polish(problem, X, f, polish_steps)
-    return float(np.min(f))
+    if polish_steps == 0:
+        return float(np.min(f))
+    if 0 < polish_top < budget:
+        keep = np.argpartition(f, polish_top)[:polish_top]
+    else:
+        keep = np.arange(budget)
+    Xp, _ = _batch_polish(problem, X[:, keep], f[keep], polish_steps)
+    return float(min(np.min(f), np.min(_batch_objective(problem, Xp))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from rosen_bkerr import cli
-from rosen_bkerr.rosenbrock import RosenbrockSystem
+from rosen_bkerr import cli, srq2
+from rosen_bkerr.backward_error import srq2_problem_for
+from rosen_bkerr.rosenbrock import RosenbrockSystem, assemble_error_matrices
 from support import (
     EXAMPLE_A1,
     EXAMPLE_A2,
@@ -351,6 +352,61 @@ def test_jnr_on_system_document_requires_lambda(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.exists()
+
+
+def test_jnr_transposed_two_quotient_pattern(tmp_path, monkeypatch):
+    # ACP is ABP on the transposed system; the input is read once
+    rng = np.random.default_rng(8)
+    system = random_system(rng, r=2, n=3, d=1)
+    sys_path = write_system(tmp_path, system)
+    reads = []
+    read_object = cli._read_object
+
+    def counting_read(path):
+        reads.append(path)
+        return read_object(path)
+
+    monkeypatch.setattr(cli, "_read_object", counting_read)
+    out_path = tmp_path / "acp.csv"
+    code = cli.main(
+        [
+            "jnr",
+            "--system",
+            str(sys_path),
+            "--lambda",
+            "0.3+0.2i",
+            "--pattern",
+            "ACP",
+            "--samples",
+            "6",
+            "--restarts",
+            "3",
+            "--seed",
+            "4",
+            "--tol",
+            "1e-9",
+            "--out",
+            str(out_path),
+        ]
+    )
+    assert code == 0
+    assert len(reads) == 1
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "vx,vy,vz,y1,y2,y3,support"
+    assert len(lines) == 7
+    meta = json.loads((tmp_path / "acp.csv.meta.json").read_text())
+    problem = srq2_problem_for(
+        "ABP", assemble_error_matrices(system.transpose(), complex(0.3, 0.2))
+    )
+    expected = srq2.solve(problem, restarts=3, seed=4, tol=1e-9)
+    assert meta["objectiveAtSolution"] == expected.value
+
+
+def test_jnr_rejects_pencil_pattern(tmp_path, capsys):
+    sys_path = write_system(tmp_path, random_system(np.random.default_rng(9), r=2, n=2, d=1))
+    args = ["jnr", "--system", str(sys_path), "--lambda", "0.3+0.2i", "--samples", "4"]
+    assert cli.main(args + ["--pattern", "C"]) == 1
+    assert "two-quotient" in capsys.readouterr().err
 
 
 def test_jnr_quotient_document_validation(tmp_path):

@@ -242,6 +242,141 @@ def test_oracle_deterministic():
     )
 
 
+def test_oracle_rejects_negative_polish_settings():
+    problem = example_problem()
+    with pytest.raises(ValueError, match="polish_steps"):
+        srq2.brute_force_oracle(problem, 50, polish_steps=-1)
+    with pytest.raises(ValueError, match="polish_top"):
+        srq2.brute_force_oracle(problem, 50, polish_top=-1)
+
+
+def test_oracle_polish_top_zero_or_budget_polishes_every_sample():
+    problem = example_problem()
+    values = {
+        srq2.brute_force_oracle(problem, 300, seed=3, polish_steps=30, polish_top=top)
+        for top in (0, 300, 1000)
+    }
+    assert len(values) == 1
+    unpolished = srq2.brute_force_oracle(problem, 300, seed=3, polish_steps=0)
+    assert values.pop() < unpolished
+
+
+def _ladder_problems():
+    """Random instances, plus two built on n = 4 with A3 = diag(0, 0, 1, 1)
+    and the ABP scalars, so that the second denominator x*A3x vanishes on
+    span(e1, e2).  With rank-one numerators supported on (e3, e4) both
+    quotients are 0 there (one of them 0/0); with a full-rank second
+    numerator the objective is +inf there."""
+    rng = np.random.default_rng(17)
+    out = [
+        ("random", srq2.random_problem(3, rng, template))
+        for template in srq2.PATTERN_TEMPLATES
+    ]
+    out.append(("random", srq2.random_problem(4, rng, "ABCP", rank_deficient=True)))
+    a3 = np.diag([0.0, 0.0, 1.0, 1.0])
+    v = np.array([0.0, 0.0, 1.0 + 0.5j, -0.7 + 0.2j])
+    w = np.array([0.0, 0.0, 0.3 - 1.0j, 1.1 + 0.4j])
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    scalars = srq2.PATTERN_SCALARS["ABP"](1.0)
+    rank_one = srq2.Srq2Problem(np.outer(v, v.conj()), np.outer(w, w.conj()), a3, *scalars)
+    full = srq2.Srq2Problem(np.outer(v, v.conj()), g @ g.conj().T, a3, *scalars)
+    return out + [("zero", rank_one), ("inf", full)]
+
+
+def _rounding_slack(problem, X):
+    """Rounding error to allow in the objective at the unit columns of X,
+    beyond a relative 1e-12: each quotient q/d carries an error of about
+    eps (||A_i|| + |q/d| (|alpha_i| + |beta_i| ||A3||)) / d, which is large
+    only next to a vanishing denominator, for any way of evaluating it."""
+    q1, q2, _, _, d1, d2, _ = srq2._batch_forms(problem, X)
+    a3 = linalg.norm1(problem.a3)
+    slack = np.zeros(X.shape[1])
+    for a, q, d, alpha, beta in (
+        (problem.a1, q1, d1, problem.alpha1, problem.beta1),
+        (problem.a2, q2, d2, problem.alpha2, problem.beta2),
+    ):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = (linalg.norm1(a) + np.abs(q / d) * (abs(alpha) + abs(beta) * a3)) / d
+        slack += np.where(d > 0, term, 0.0)
+    return 8 * np.finfo(float).eps * slack
+
+
+@pytest.mark.parametrize("kind, problem", _ladder_problems())
+def test_ladder_matches_direct_evaluation(kind, problem):
+    rng = np.random.default_rng(23)
+    n, m = problem.n, 24
+    X = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    if kind != "random":  # half the lines lie in span(e1, e2)
+        X[2:, m // 2 :] = 0.0
+        G[2:, m // 2 :] = 0.0
+    X /= np.linalg.norm(X, axis=0)
+    G -= X * np.einsum("ij,ij->j", X.conj(), G)  # tangent, as the polish's gradients
+    t = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    q1, q2, _, nrm2, d1, d2, y = srq2._batch_forms(problem, X)
+    steps, values = srq2._ladder_objective(problem, X, G, t, q1, q2, nrm2, d1, d2, y)
+    assert steps.shape == values.shape == (25, m)
+    for k in range(25):
+        np.testing.assert_array_equal(steps[k], t * 0.5**k)
+        cand = X - G * steps[k]
+        cand /= np.linalg.norm(cand, axis=0)
+        direct = srq2._batch_objective(problem, cand)
+        np.testing.assert_array_equal(np.isinf(values[k]), np.isinf(direct))
+        np.testing.assert_array_equal(values[k] == 0.0, direct == 0.0)
+        fin = np.isfinite(direct)
+        bound = 1e-12 * np.abs(direct[fin]) + _rounding_slack(problem, cand)[fin]
+        assert np.all(np.abs(values[k][fin] - direct[fin]) <= bound), k
+    if kind == "zero":
+        assert np.all(values[:, m // 2 :] == 0.0)
+    elif kind == "inf":
+        assert np.all(np.isinf(values[:, m // 2 :]))
+    assert np.all(np.isfinite(values[:, : m // 2]))
+
+
+def _reference_polish(problem, x, f, steps):
+    """One column of the polish, one backtracking trial at a time."""
+    t = 1.0
+    for _ in range(steps):
+        if not (srq2.is_differentiable(problem, x) and math.isfinite(f) and t > 1e-18):
+            break
+        hx = srq2.nepv_matrix(problem, x) @ x
+        grad = hx - x * np.real(np.vdot(x, hx))
+        gnorm2 = float(np.real(np.vdot(grad, grad)))
+        if gnorm2 <= 1e-20:
+            break
+        for _trial in range(25):
+            cand = linalg.normalize(x - t * grad)
+            fc = srq2.objective(problem, cand)
+            if fc <= f - 1e-4 * t * gnorm2:
+                x, f, t = cand, fc, min(2.0 * t, 1e6)
+                break
+            t *= 0.5
+            if t <= 1e-18:
+                break
+    return x, f
+
+
+def test_polish_matches_one_trial_at_a_time_backtracking():
+    rng = np.random.default_rng(29)
+    problems = [srq2.random_problem(3, rng, template) for template in ("AP", "BC", "ABCP")]
+    # numerators scaled by 1e12 need steps below 2^-25 at first: every trial
+    # of the first ladder fails, and the next one starts from the halved step
+    base = problems[-1]
+    problems.append(
+        srq2.Srq2Problem(1e12 * base.a1, 1e12 * base.a2, base.a3, 1.0, 0.0, 1.0, base.beta2)
+    )
+    for k, problem in enumerate(problems):
+        X = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        X /= np.linalg.norm(X, axis=0)
+        f = srq2._batch_objective(problem, X)
+        Xp, fp = srq2._batch_polish(problem, X.copy(), f.copy(), 40)
+        np.testing.assert_allclose(fp, srq2._batch_objective(problem, Xp), rtol=1e-12)
+        for j in range(X.shape[1]):
+            x_ref, f_ref = _reference_polish(problem, X[:, j], f[j], 40)
+            assert fp[j] == pytest.approx(f_ref, rel=1e-10), (k, j)
+            np.testing.assert_allclose(Xp[:, j], x_ref, atol=1e-7)
+
+
 def test_solve_tracks_oracle_on_random_instances():
     rng = np.random.default_rng(2024)
     close = 0
