@@ -283,6 +283,8 @@ def _float_repr(x: float) -> str:
 
 
 def cmd_jnr(args) -> int:
+    if args.samples < 1:
+        raise CliInputError("samples must be at least 1")
     doc = _read_object(args.system)
     where = str(args.system)
     if "A1" in doc:
@@ -385,6 +387,8 @@ def cmd_oracle_check(args) -> int:
         raise CliInputError("oracle-check needs n >= 2")
     if args.trials < 0:
         raise CliInputError("trials must be nonnegative")
+    if args.budget < 1:
+        raise CliInputError("budget must be at least 1")
     if args.trials == 0:
         print("warning: zero trials requested; vacuously passing", file=sys.stderr)
         return EXIT_OK

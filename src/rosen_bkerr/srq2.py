@@ -16,9 +16,11 @@ eigenvector dependency: H(x) x = mu x with mu the smallest eigenvalue of
     d_i(x) = alpha_i + beta_i * (x* A3 x).
 
 ``scf_solve`` runs a level-shifted self-consistent-field iteration on that
-fixed point; ``nondiff_candidates`` enumerates the closed-form candidates
-where one quotient degenerates to 0/0; ``solve`` combines both searches
-over deterministic multistarts and returns the best minimizer found.
+fixed point and finishes with safeguarded Riemannian Newton steps once the
+iterate sits at the bottom of H(x)'s spectrum; ``nondiff_candidates``
+enumerates the closed-form candidates where one quotient degenerates to
+0/0; ``solve`` combines both searches over deterministic multistarts and
+returns the best minimizer found.
 ``brute_force_oracle`` is an independent sampled reference used to audit
 the solver.
 """
@@ -60,6 +62,11 @@ __all__ = [
 _PSD_TOL = 1e-12
 _EPS_FLOOR = 1e-12
 _SHIFT_SLACK = 1e-14
+# Newton steps take over from the SCF sweeps once the residual against the
+# smallest eigenvalue of H(x) is at most this (see ``scf_solve``).  With
+# 1e-1, most starts next to the spurious stationary point of the reference
+# problem end on it; with 1e-3, none do.
+_NEWTON_SWITCH = 1e-3
 
 SOURCE_SCF = "scf"
 SOURCE_NONDIFF_1 = "nondiff1"
@@ -171,25 +178,33 @@ class Srq2Problem:
         return np.vstack((self.a1, self.a2, self.a3))
 
 
-def _forms(problem: Srq2Problem, x: np.ndarray):
+class _Point(NamedTuple):
+    """A nonzero vector with what one matmul gives there: ``problem.stacked
+    @ x``, the numerator and denominator forms, the objective value and
+    whether both denominators are nonzero."""
+
+    x: np.ndarray
+    y: np.ndarray
+    q1: float
+    q2: float
+    d1: float
+    d2: float
+    value: float
+    smooth: bool
+
+
+def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
     nrm2 = float(np.real(np.vdot(x, x)))
     if nrm2 == 0.0:
         raise ValueError("x must be nonzero")
-    q1 = quadratic_form(problem.a1, x)
-    q2 = quadratic_form(problem.a2, x)
-    q3 = quadratic_form(problem.a3, x)
+    n = problem.n
+    y = problem.stacked @ x
+    q1 = float(np.real(np.vdot(x, y[:n])))
+    q2 = float(np.real(np.vdot(x, y[n : 2 * n])))
+    q3 = float(np.real(np.vdot(x, y[2 * n :])))
     d1 = problem.alpha1 * nrm2 + problem.beta1 * q3
     d2 = problem.alpha2 * nrm2 + problem.beta2 * q3
-    return nrm2, q1, q2, q3, d1, d2
-
-
-def objective(problem: Srq2Problem, x) -> float:
-    """Quotient-sum value at any nonzero x (scale invariant).  A quotient
-    whose numerator and denominator both vanish contributes 0; a vanishing
-    denominator under a positive numerator makes the value +inf."""
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    nrm2, q1, q2, _, d1, d2 = _forms(problem, x)
-    total = 0.0
+    value = 0.0
     for q, d, num_eps, den_eps in (
         (q1, d1, problem.num_eps1, problem.den_eps1),
         (q2, d2, problem.num_eps2, problem.den_eps2),
@@ -197,29 +212,40 @@ def objective(problem: Srq2Problem, x) -> float:
         if d <= den_eps * nrm2:
             if q <= num_eps * nrm2:
                 continue
-            return math.inf
-        total += q / d
-    return total
+            value = math.inf
+            break
+        value += q / d
+    smooth = d1 > problem.den_eps1 * nrm2 and d2 > problem.den_eps2 * nrm2
+    return _Point(x, y, q1, q2, d1, d2, value, smooth)
+
+
+def objective(problem: Srq2Problem, x) -> float:
+    """Quotient-sum value at any nonzero x (scale invariant).  A quotient
+    whose numerator and denominator both vanish contributes 0; a vanishing
+    denominator under a positive numerator makes the value +inf."""
+    return _point(problem, np.asarray(x, dtype=np.complex128).ravel()).value
 
 
 def is_differentiable(problem: Srq2Problem, x) -> bool:
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    nrm2, _, _, _, d1, d2 = _forms(problem, x)
-    return d1 > problem.den_eps1 * nrm2 and d2 > problem.den_eps2 * nrm2
+    return _point(problem, np.asarray(x, dtype=np.complex128).ravel()).smooth
+
+
+def _stationarity_matrix(problem, p: _Point) -> np.ndarray:
+    """H(x) at the unit vector of p."""
+    coeff3 = p.q1 * problem.beta1 / p.d1**2 + p.q2 * problem.beta2 / p.d2**2
+    return problem.a1 / p.d1 + problem.a2 / p.d2 - coeff3 * problem.a3
 
 
 def nepv_matrix(problem: Srq2Problem, x) -> np.ndarray:
     """Stationarity matrix H(x) at a differentiable point (x is normalized
     internally).  Raises NondifferentiablePointError when either quotient
     denominator is numerically zero."""
-    x = linalg.normalize(np.asarray(x, dtype=np.complex128).ravel())
-    _, q1, q2, _, d1, d2 = _forms(problem, x)
-    if d1 <= problem.den_eps1 or d2 <= problem.den_eps2:
+    p = _point(problem, linalg.normalize(np.asarray(x, dtype=np.complex128).ravel()))
+    if p.d1 <= problem.den_eps1 or p.d2 <= problem.den_eps2:
         raise NondifferentiablePointError(
             "a quotient denominator vanishes at this point"
         )
-    coeff3 = q1 * problem.beta1 / d1**2 + q2 * problem.beta2 / d2**2
-    return problem.a1 / d1 + problem.a2 / d2 - coeff3 * problem.a3
+    return _stationarity_matrix(problem, p)
 
 
 class ResidualInfo(NamedTuple):
@@ -232,20 +258,30 @@ class ResidualInfo(NamedTuple):
     smallest_eig_gap: float
 
 
-def _rel_residual(h: np.ndarray, x: np.ndarray):
-    """H(x) x, the Rayleigh quotient s = x* H(x) x and the relative residual
-    || H(x) x - s x || / (||H(x)||_1 + 1) at a unit vector x."""
+class _Residual(NamedTuple):
+    """H(x) at a unit vector x with H(x) x, the Rayleigh quotient
+    s = x* H(x) x, ||H(x)||_1 and the relative residual
+    || H(x) x - s x || / (||H(x)||_1 + 1)."""
+
+    h: np.ndarray
+    hx: np.ndarray
+    s: float
+    norm1: float
+    rel: float
+
+
+def _residual(h: np.ndarray, x: np.ndarray) -> _Residual:
     hx = h @ x
     s = float(np.real(np.vdot(x, hx)))
-    return hx, s, float(np.linalg.norm(hx - s * x)) / (linalg.norm1(h) + 1.0)
+    norm1 = linalg.norm1(h)
+    return _Residual(h, hx, s, norm1, float(np.linalg.norm(hx - s * x)) / (norm1 + 1.0))
 
 
 def nepv_residuals(problem: Srq2Problem, x) -> ResidualInfo:
     x = linalg.normalize(np.asarray(x, dtype=np.complex128).ravel())
-    h = nepv_matrix(problem, x)
-    w0 = float(np.linalg.eigvalsh(h)[0])
-    hx, s, rel = _rel_residual(h, x)
-    return ResidualInfo(float(np.linalg.norm(hx - w0 * x)), rel, s - w0)
+    res = _residual(nepv_matrix(problem, x), x)
+    w0 = float(np.linalg.eigvalsh(res.h)[0])
+    return ResidualInfo(float(np.linalg.norm(res.hx - w0 * x)), res.rel, res.s - w0)
 
 
 @dataclass(frozen=True)
@@ -255,7 +291,9 @@ class Srq2Solution:
     ``value`` is the objective at ``x`` (unit, phase fixed);
     ``nepv_residual``, ``rel_residual`` and ``smallest_eig_gap`` are the
     ResidualInfo fields recomputed at x (NaN where H(x) is undefined);
-    ``source`` records which search produced the point.
+    ``iterations`` counts SCF sweeps plus Newton steps and ``shifts_used``
+    holds the level shift of each accepted sweep; ``source`` records which
+    search produced the point.
     """
 
     x: np.ndarray
@@ -268,13 +306,6 @@ class Srq2Solution:
     source: str
     converged: bool
     tol: float
-
-
-def _diagnose(problem: Srq2Problem, x: np.ndarray):
-    """H(x), its eigenvalues and eigenvectors, and the relative residual."""
-    h = nepv_matrix(problem, x)
-    w, vecs = np.linalg.eigh(h)
-    return h, w, vecs, _rel_residual(h, x)[2]
 
 
 def _solution_at(problem, x, *, iterations, shifts, source, converged, tol):
@@ -297,22 +328,103 @@ def _solution_at(problem, x, *, iterations, shifts, source, converged, tol):
     )
 
 
-def _nudge_differentiable(problem, x, rng, scale=1e-8):
-    """Move x off the measure-zero set where a denominator vanishes, by
+def _point_residual(problem, p: _Point) -> _Residual:
+    return _residual(_stationarity_matrix(problem, p), p.x)
+
+
+def _nudge_differentiable(problem, p: _Point, rng, scale=1e-8) -> _Point:
+    """Move p off the measure-zero set where a denominator vanishes, by
     adding a small random tangent and renormalizing."""
     for attempt in range(40):
-        if is_differentiable(problem, x):
-            return x
+        if p.smooth:
+            return p
+        x = p.x
         d = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
         d = d - x * np.vdot(x, d)
         nd = float(np.linalg.norm(d))
         if nd == 0.0:
             continue
         step = scale * 2.0**attempt
-        x = linalg.fix_phase(linalg.normalize(x + step * (d / nd)))
+        p = _point(problem, linalg.fix_phase(linalg.normalize(x + step * (d / nd))))
     raise NondifferentiablePointError(
         "could not find a nearby differentiable starting point"
     )
+
+
+def _real(u: np.ndarray) -> np.ndarray:
+    """Real form [Re u; Im u] of a complex vector or of each column."""
+    return np.concatenate((u.real, u.imag))
+
+
+def _newton_matrix(problem, p: _Point, h: np.ndarray) -> np.ndarray:
+    """Half the Euclidean Hessian of the quotient sum at the smooth point p,
+    in real form (x as [Re x; Im x]).  With a_i = A_i x, b_i = B_i x,
+    B_i = alpha_i I + beta_i A3 and G = H(x) - (sum_i alpha_i q_i / d_i^2) I,
+
+        E = real(G) + sum_i [ -(2 / d_i^2) (a_i b_i^T + b_i a_i^T)
+                              + (4 q_i / d_i^3) b_i b_i^T ],
+
+    where real(G) = [[Re G, -Im G], [Im G, Re G]] represents v -> G v.  On
+    the horizontal space (orthogonal to x and i x) it is half the
+    Riemannian Hessian, since the gradient 2 (H(x) x - s x) is orthogonal
+    to x."""
+    n = problem.n
+    x, y = p.x, p.y
+    g = h - (problem.alpha1 * p.q1 / p.d1**2 + problem.alpha2 * p.q2 / p.d2**2) * np.eye(n)
+    e = np.block([[g.real, -g.imag], [g.imag, g.real]])
+    ax3 = y[2 * n :]
+    u = _real(
+        np.column_stack(
+            (
+                y[:n],
+                problem.alpha1 * x + problem.beta1 * ax3,
+                y[n : 2 * n],
+                problem.alpha2 * x + problem.beta2 * ax3,
+            )
+        )
+    )
+    k = np.zeros((4, 4))
+    for i, (q, d) in enumerate(((p.q1, p.d1), (p.q2, p.d2))):
+        j = 2 * i
+        k[j, j + 1] = k[j + 1, j] = -2.0 / d**2
+        k[j + 1, j + 1] = 4.0 * q / d**3
+    return e + u @ k @ u.T
+
+
+def _newton_step(problem, p: _Point, res: _Residual):
+    """Safeguarded Riemannian Newton step on the sphere from the smooth
+    point p.  The step v solves the bordered system
+
+        [[E, C], [C^T, 0]] [v; lam] = [-(H(x) x - s x); 0],   C = [x, i x]
+
+    in real form, which keeps v horizontal to the phase orbit of x, and the
+    new point is x + v normalized and phase fixed.  Returns the new point
+    and its residual, or None unless it is differentiable, does not raise
+    the objective beyond floating-point noise and strictly lowers the
+    relative residual."""
+    n = problem.n
+    x = p.x
+    m = 2 * n
+    kkt = np.zeros((m + 2, m + 2))
+    kkt[:m, :m] = _newton_matrix(problem, p, res.h)
+    c = _real(np.column_stack((x, 1j * x)))
+    kkt[:m, m:] = c
+    kkt[m:, :m] = c.T
+    rhs = np.zeros(m + 2)
+    rhs[:m] = -_real(res.hx - res.s * x)
+    try:
+        v = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(v)):
+        return None
+    cand = _point(problem, linalg.fix_phase(linalg.normalize(x + (v[:n] + 1j * v[n:m]))))
+    if not (cand.smooth and cand.value <= p.value + _EPS_FLOOR * max(1.0, abs(p.value))):
+        return None
+    cand_res = _point_residual(problem, cand)
+    if not cand_res.rel < res.rel:
+        return None
+    return cand, cand_res
 
 
 def scf_solve(
@@ -323,7 +435,8 @@ def scf_solve(
     tol: float = 1e-10,
     max_shift_tries: int = 40,
 ) -> Srq2Solution:
-    """Level-shifted self-consistent-field iteration on H(x) x = mu x.
+    """Level-shifted self-consistent-field iteration on H(x) x = mu x,
+    finished by safeguarded Riemannian Newton steps.
 
     Each sweep diagonalizes H(x_k) and proposes the smallest eigenvector of
     the damped matrix H(x_k) - sigma x_k x_k*, trying shifts sigma = 0,
@@ -339,76 +452,92 @@ def scf_solve(
     for the endgame where objective decrements fall below double precision;
     letting it override descent admits period-two cycles).
 
-    Convergence is declared when that residual drops to ``tol``.  On a
-    sweep cap or shift-search exhaustion the best iterate seen is returned
-    flagged ``converged=False``.
+    Once x sits at the bottom of H(x)'s spectrum, that is once the residual
+    against the smallest eigenvalue w0, || H(x) x - w0 x || / (||H(x)||_1 + 1),
+    is at most 1e-3, the iteration switches to Newton's method on the
+    sphere (``_newton_step``), which converges quadratically near a
+    nondegenerate minimizer.  The residual against the Rayleigh quotient
+    would not do as the switch test: it is small next to stationary points
+    paired with a higher eigenvalue, which Newton's method would then find.
+    Newton steps diagonalize nothing; the first rejected step returns to
+    the level-shifted sweeps from the same iterate.
+
+    Convergence is declared when the relative residual drops to ``tol``.
+    On a sweep cap or shift-search exhaustion the best iterate seen is
+    returned flagged ``converged=False``.  ``iterations`` counts sweeps and
+    Newton steps; ``shifts_used`` holds the shifts of accepted sweeps only.
     """
     rng = np.random.default_rng(0x5CF5EED)
     x = linalg.fix_phase(linalg.normalize(np.asarray(x0, dtype=np.complex128).ravel()))
     if x.size != problem.n:
         raise ValueError(f"x0 must have length {problem.n}")
-    x = _nudge_differentiable(problem, x, rng)
-    f = objective(problem, x)
-    best_f, best_x = f, x
+    p = _nudge_differentiable(problem, _point(problem, x), rng)
+    res = _point_residual(problem, p)
+    best = p
     shifts: list[float] = []
-    iterations = 0
+    newton = False
     converged = False
     for k in range(max_iter + 1):
-        h, w, vecs, rel_residual = _diagnose(problem, x)
-        if rel_residual <= tol:
-            iterations = k
+        if res.rel <= tol:
             converged = True
             break
         if k == max_iter:
-            iterations = k
             break
-        if w.size > 1:
-            delta = float(w[1] - w[0])
+        step = None
+        if newton:
+            step = _newton_step(problem, p, res)
         else:
-            delta = 0.0
+            w, vecs = np.linalg.eigh(res.h)
+            if np.linalg.norm(res.hx - w[0] * p.x) <= _NEWTON_SWITCH * (res.norm1 + 1.0):
+                step = _newton_step(problem, p, res)
+        if step is not None:
+            newton = True
+            p, res = step
+            if p.value < best.value:
+                best = p
+            continue
+        if newton:
+            newton = False
+            w, vecs = np.linalg.eigh(res.h)
+        delta = float(w[1] - w[0]) if w.size > 1 else 0.0
         if delta <= 1e-14:
-            delta = max(1e-8, 1e-8 * linalg.norm1(h))
+            delta = max(1e-8, 1e-8 * res.norm1)
         accepted = False
         for t in range(max_shift_tries):
             if t == 0:
                 sigma = 0.0
-                cand = vecs[:, 0]
+                v = vecs[:, 0]
             else:
                 sigma = 2.0**t * delta
                 try:
-                    _, shifted = np.linalg.eigh(h - sigma * np.outer(x, x.conj()))
+                    _, shifted = np.linalg.eigh(res.h - sigma * np.outer(p.x, p.x.conj()))
                 except np.linalg.LinAlgError:
                     continue
-                cand = shifted[:, 0]
-            cand = linalg.fix_phase(cand)
-            f_new = objective(problem, cand)
-            if f_new < f - _SHIFT_SLACK:
+                v = shifted[:, 0]
+            cand = _point(problem, linalg.fix_phase(v))
+            cand_res = None
+            if cand.value < p.value - _SHIFT_SLACK:
                 ok = True
-            elif f_new <= f + _EPS_FLOOR * max(1.0, abs(f)):
-                try:
-                    res_new = _rel_residual(nepv_matrix(problem, cand), cand)[2]
-                except NondifferentiablePointError:
-                    res_new = math.inf
-                ok = res_new < rel_residual - _SHIFT_SLACK
+            elif cand.smooth and cand.value <= p.value + _EPS_FLOOR * max(1.0, abs(p.value)):
+                cand_res = _point_residual(problem, cand)
+                ok = cand_res.rel < res.rel - _SHIFT_SLACK
             else:
                 ok = False
             if ok:
                 shifts.append(float(sigma))
-                nudged = _nudge_differentiable(problem, cand, rng)
-                x = nudged
-                f = f_new if nudged is cand else objective(problem, x)
-                if f < best_f:
-                    best_f, best_x = f, x
+                # a candidate with a residual is smooth, so the nudge keeps it
+                p = _nudge_differentiable(problem, cand, rng)
+                res = cand_res if cand_res is not None else _point_residual(problem, p)
+                if p.value < best.value:
+                    best = p
                 accepted = True
                 break
         if not accepted:
-            iterations = k
             break
-    final_x = x if converged else best_x
     return _solution_at(
         problem,
-        final_x,
-        iterations=iterations,
+        p.x if converged else best.x,
+        iterations=k,
         shifts=shifts,
         source=SOURCE_SCF,
         converged=converged,

@@ -417,6 +417,13 @@ def test_jnr_quotient_document_validation(tmp_path):
     assert cli.main(["jnr", "--system", str(bad), "--samples", "4"]) == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_jnr_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    doc_path = write_quotient_doc(tmp_path)
+    assert cli.main(["jnr", "--system", str(doc_path), "--samples", samples]) == 1
+    assert "error: samples must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle-check.
 
@@ -450,6 +457,12 @@ def test_oracle_check_zero_trials(capsys):
 def test_oracle_check_dimension_guard(capsys):
     assert cli.main(["oracle-check", "--n", "7", "--trials", "1"]) == 1
     assert cli.main(["oracle-check", "--n", "1", "--trials", "1"]) == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_oracle_check_rejects_nonpositive_budget(capsys, budget):
+    assert cli.main(["oracle-check", "--budget", budget, "--trials", "1"]) == 1
+    assert "error: budget must be at least 1" in capsys.readouterr().err
 
 
 def test_result_document_eta_inf_spelling():
