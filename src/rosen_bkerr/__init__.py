@@ -29,7 +29,6 @@ from .jnr import (
     OptimalityCertificate,
     boundary_sample,
     direction_grid,
-    g_value,
     optimality_certificate,
     rho,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "brute_force_oracle",
     "certify",
     "direction_grid",
-    "g_value",
     "nepv_residuals",
     "nondiff_candidates",
     "optimality_certificate",

@@ -318,7 +318,8 @@ def cmd_jnr(args) -> int:
     solution = srq2.solve(problem, restarts=args.restarts, seed=args.seed, tol=args.tol)
     g_params = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
     y_star = jnr.rho(matrices, solution.x)
-    boundary_min = min(jnr.g_value(g_params, p.point) for p in points)
+    # g(rho(w)) = f(w) at a unit witness w
+    boundary_min = min(srq2.objective(problem, p.witness) for p in points)
     try:
         gap = jnr.optimality_certificate(matrices, g_params, solution.x).support_gap
     except srq2.NondifferentiablePointError:

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _parallel, linalg
-from .srq2 import NondifferentiablePointError
+from . import linalg, srq2
 
 __all__ = [
     "JnrPoint",
     "OptimalityCertificate",
     "boundary_sample",
     "direction_grid",
-    "g_value",
     "optimality_certificate",
     "rho",
 ]
@@ -50,20 +48,16 @@ def _hermitian_triple(matrices) -> list[np.ndarray]:
     return mats
 
 
-def _form(m: np.ndarray, x: np.ndarray) -> float:
-    val = complex(np.vdot(x, m @ x))
-    if abs(val.imag) > 1e-12 * max(1.0, linalg.norm1(m)):
-        raise ValueError(
-            f"quadratic form has non-negligible imaginary part {val.imag:.3e}"
-        )
-    return val.real
+def _forms(mats, X: np.ndarray) -> np.ndarray:
+    """[x* A1 x, x* A2 x, x* A3 x] for each column x of X, shape (3, columns),
+    from one stacked matmul."""
+    return srq2._block_forms(X, np.vstack(mats) @ X)
 
 
 def rho(matrices, x) -> np.ndarray:
     """The real 3-vector [x* A1 x, x* A2 x, x* A3 x]."""
-    mats = _hermitian_triple(matrices)
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    return np.array([_form(m, x) for m in mats])
+    x = np.asarray(x, dtype=np.complex128).reshape(-1, 1)
+    return _forms(_hermitian_triple(matrices), x)[:, 0]
 
 
 def direction_grid(count: int) -> np.ndarray:
@@ -88,72 +82,38 @@ def boundary_sample(matrices, directions) -> list[JnrPoint]:
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[1] != 3:
         raise ValueError("directions must be rows of length 3")
-
-    def one(v):
-        hv = v[0] * mats[0] + v[1] * mats[1] + v[2] * mats[2]
-        w, vecs = np.linalg.eigh(hv)
-        x = linalg.fix_phase(vecs[:, 0])
-        point = np.array([_form(m, x) for m in mats])
-        return JnrPoint(
-            direction=v.copy(),
-            point=point,
-            support_value=float(w[0]),
-            witness=x,
-        )
-
-    return _parallel.parallel_map(one, list(dirs))
-
-
-def g_value(g_params, y) -> float:
-    """The scalarized objective y1/(alpha1 + beta1 y3) + y2/(alpha2 + beta2 y3)
-    with the same 0/0 and +inf conventions as the quotient sum."""
-    alpha1, beta1, alpha2, beta2 = (float(p) for p in g_params)
-    y = np.asarray(y, dtype=float).ravel()
-    total = 0.0
-    num_eps = 1e-12 * max(1.0, float(np.max(np.abs(y))))
-    for num, alpha, beta in ((y[0], alpha1, beta1), (y[1], alpha2, beta2)):
-        den = alpha + beta * y[2]
-        den_eps = 1e-12 * max(1.0, abs(alpha) + abs(beta) * abs(y[2]))
-        if den <= den_eps:
-            if num <= num_eps:
-                continue
-            return float("inf")
-        total += num / den
-    return total
+    v = dirs[:, :, None, None]
+    w, vecs = np.linalg.eigh(v[:, 0] * mats[0] + v[:, 1] * mats[1] + v[:, 2] * mats[2])
+    witnesses = [linalg.fix_phase(u) for u in vecs[:, :, 0]]
+    points = _forms(mats, np.column_stack(witnesses)).T if witnesses else []
+    return [
+        JnrPoint(direction=d.copy(), point=y, support_value=float(s), witness=x)
+        for d, y, s, x in zip(dirs, points, w[:, 0], witnesses)
+    ]
 
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    """First-order optimality data at a point x: the (unnormalized) gradient
-    direction of the scalarized objective at y = rho(x), and the support
-    gap v . y - lambda_min(H_v), which is nonnegative and vanishes exactly
-    at supported boundary points."""
+    """First-order optimality data at a point x: the weights v of the
+    stationarity matrix H(x) = v1 A1 + v2 A2 + v3 A3, which are the
+    gradient of the scalarized objective at y = rho(x), and the support gap
+    v . y - lambda_min(H(x)) = s - lambda_min(H(x)), s = x* H(x) x, which
+    is nonnegative and vanishes exactly at supported boundary points."""
 
     grad_direction: np.ndarray
     support_gap: float
 
 
 def optimality_certificate(matrices, g_params, x) -> OptimalityCertificate:
-    mats = _hermitian_triple(matrices)
-    alpha1, beta1, alpha2, beta2 = (float(p) for p in g_params)
-    x = linalg.normalize(np.asarray(x, dtype=np.complex128).ravel())
-    y = np.array([_form(m, x) for m in mats])
-    d1 = alpha1 + beta1 * y[2]
-    d2 = alpha2 + beta2 * y[2]
-    eps1 = 1e-12 * max(1.0, abs(alpha1) + abs(beta1) * linalg.norm1(mats[2]))
-    eps2 = 1e-12 * max(1.0, abs(alpha2) + abs(beta2) * linalg.norm1(mats[2]))
-    if d1 <= eps1 or d2 <= eps2:
-        raise NondifferentiablePointError(
-            "a quotient denominator vanishes at this point"
-        )
-    v = np.array(
-        [
-            1.0 / d1,
-            1.0 / d2,
-            -(beta1 * y[0] / d1**2 + beta2 * y[1] / d2**2),
-        ]
+    """The certificate at x (normalized internally) of the quotient sum with
+    scalars ``g_params`` = (alpha1, beta1, alpha2, beta2).  Raises
+    NondifferentiablePointError exactly where ``srq2.nepv_matrix`` does."""
+    alpha1, beta1, alpha2, beta2 = g_params
+    problem = srq2.Srq2Problem(*_hermitian_triple(matrices), alpha1, beta1, alpha2, beta2)
+    p = srq2._smooth_point(problem, x)
+    h = srq2._stationarity_matrix(problem, p)
+    s = float(np.real(np.vdot(p.x, h @ p.x)))
+    return OptimalityCertificate(
+        grad_direction=srq2._h_combination(problem, p.q1, p.q2, p.d1, p.d2, *np.eye(3)),
+        support_gap=s - float(np.linalg.eigvalsh(h)[0]),
     )
-    hv = v[0] * mats[0] + v[1] * mats[1] + v[2] * mats[2]
-    w = np.linalg.eigvalsh(hv)
-    gap = float(v @ y - w[0])
-    return OptimalityCertificate(grad_direction=v, support_gap=gap)

@@ -53,7 +53,6 @@ __all__ = [
     "nepv_residuals",
     "nondiff_candidates",
     "objective",
-    "quadratic_form",
     "random_problem",
     "scf_solve",
     "solve",
@@ -81,11 +80,6 @@ class NondifferentiablePointError(ValueError):
 class CommonNullViolationError(ValueError):
     """The two denominator matrices share a common null vector, which the
     degenerate-candidate search cannot handle."""
-
-
-def quadratic_form(m, x) -> float:
-    """Real value of x* M x for Hermitian M."""
-    return float(np.real(np.vdot(x, m @ x)))
 
 
 @dataclass(frozen=True)
@@ -178,6 +172,29 @@ class Srq2Problem:
         return np.vstack((self.a1, self.a2, self.a3))
 
 
+def _block_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re(x* y) for each column x of X and the matching column y of each
+    n-row block of Y (such as ``problem.stacked @ X``); one row per block."""
+    return np.real(np.einsum("ij,kij->kj", X.conj(), Y.reshape(-1, *X.shape)))
+
+
+def _denominators(problem: Srq2Problem, nrm2, q3):
+    """d_i = alpha_i ||x||^2 + beta_i x* A3 x, for floats or arrays alike."""
+    return problem.alpha1 * nrm2 + problem.beta1 * q3, problem.alpha2 * nrm2 + problem.beta2 * q3
+
+
+def _h_combination(problem: Srq2Problem, q1, q2, d1, d2, m1, m2, m3):
+    """m1 / d1 + m2 / d2 - c m3 with c = beta1 q1 / d1^2 + beta2 q2 / d2^2.
+
+    At a unit x with forms q_i and denominators d_i, (1/d1, 1/d2, -c) are
+    the weights of H(x) = sum_i w_i A_i: applied to (A1, A2, A3) this is
+    H(x), to (A1 x, A2 x, A3 x) it is H(x) x, and to the unit vectors of
+    R^3 the weights themselves.  Floats or arrays (a column per point)
+    alike."""
+    c = q1 * problem.beta1 / d1**2 + q2 * problem.beta2 / d2**2
+    return m1 / d1 + m2 / d2 - c * m3
+
+
 class _Point(NamedTuple):
     """A nonzero vector with what one matmul gives there: ``problem.stacked
     @ x``, the numerator and denominator forms, the objective value and
@@ -194,6 +211,13 @@ class _Point(NamedTuple):
 
 
 def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
+    """The forms and the objective value at a nonzero x.
+
+    The quotient rule, with the thresholds of ``problem`` scaled by
+    ||x||^2: a denominator d <= den_eps ||x||^2 vanishes; over a numerator
+    q <= num_eps ||x||^2 the quotient is then 0/0 and contributes 0, over
+    a larger one it is +inf; otherwise it is q / d.  ``_quotient_batch``
+    applies the same rule to arrays of columns."""
     nrm2 = float(np.real(np.vdot(x, x)))
     if nrm2 == 0.0:
         raise ValueError("x must be nonzero")
@@ -202,8 +226,7 @@ def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
     q1 = float(np.real(np.vdot(x, y[:n])))
     q2 = float(np.real(np.vdot(x, y[n : 2 * n])))
     q3 = float(np.real(np.vdot(x, y[2 * n :])))
-    d1 = problem.alpha1 * nrm2 + problem.beta1 * q3
-    d2 = problem.alpha2 * nrm2 + problem.beta2 * q3
+    d1, d2 = _denominators(problem, nrm2, q3)
     value = 0.0
     for q, d, num_eps, den_eps in (
         (q1, d1, problem.num_eps1, problem.den_eps1),
@@ -219,6 +242,31 @@ def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
     return _Point(x, y, q1, q2, d1, d2, value, smooth)
 
 
+def _quotient_batch(q, d, nrm2, num_eps, den_eps):
+    """The quotient rule of ``_point``, entrywise on arrays."""
+    zero_den = d <= den_eps * nrm2
+    out = np.divide(q, d, out=np.zeros_like(q), where=~zero_den)
+    out[zero_den & (q > num_eps * nrm2)] = np.inf
+    return out
+
+
+def _quotient_sum(problem, q1, q2, nrm2, d1, d2):
+    return _quotient_batch(q1, d1, nrm2, problem.num_eps1, problem.den_eps1) + _quotient_batch(
+        q2, d2, nrm2, problem.num_eps2, problem.den_eps2
+    )
+
+
+def _smooth_point(problem: Srq2Problem, x) -> _Point:
+    """``_point`` at x normalized; raises NondifferentiablePointError where
+    a quotient denominator vanishes."""
+    p = _point(problem, linalg.normalize(np.asarray(x, dtype=np.complex128).ravel()))
+    if not p.smooth:
+        raise NondifferentiablePointError(
+            "a quotient denominator vanishes at this point"
+        )
+    return p
+
+
 def objective(problem: Srq2Problem, x) -> float:
     """Quotient-sum value at any nonzero x (scale invariant).  A quotient
     whose numerator and denominator both vanish contributes 0; a vanishing
@@ -232,20 +280,14 @@ def is_differentiable(problem: Srq2Problem, x) -> bool:
 
 def _stationarity_matrix(problem, p: _Point) -> np.ndarray:
     """H(x) at the unit vector of p."""
-    coeff3 = p.q1 * problem.beta1 / p.d1**2 + p.q2 * problem.beta2 / p.d2**2
-    return problem.a1 / p.d1 + problem.a2 / p.d2 - coeff3 * problem.a3
+    return _h_combination(problem, p.q1, p.q2, p.d1, p.d2, problem.a1, problem.a2, problem.a3)
 
 
 def nepv_matrix(problem: Srq2Problem, x) -> np.ndarray:
     """Stationarity matrix H(x) at a differentiable point (x is normalized
     internally).  Raises NondifferentiablePointError when either quotient
     denominator is numerically zero."""
-    p = _point(problem, linalg.normalize(np.asarray(x, dtype=np.complex128).ravel()))
-    if p.d1 <= problem.den_eps1 or p.d2 <= problem.den_eps2:
-        raise NondifferentiablePointError(
-            "a quotient denominator vanishes at this point"
-        )
-    return _stationarity_matrix(problem, p)
+    return _stationarity_matrix(problem, _smooth_point(problem, x))
 
 
 class ResidualInfo(NamedTuple):
@@ -685,29 +727,11 @@ def solve(
 
 
 def _batch_forms(problem, X):
-    n = problem.n
     y = problem.stacked @ X
-    xc = X.conj()
-    q1 = np.real(np.einsum("ij,ij->j", xc, y[:n]))
-    q2 = np.real(np.einsum("ij,ij->j", xc, y[n : 2 * n]))
-    q3 = np.real(np.einsum("ij,ij->j", xc, y[2 * n :]))
-    nrm2 = np.real(np.einsum("ij,ij->j", xc, X))
-    d1 = problem.alpha1 * nrm2 + problem.beta1 * q3
-    d2 = problem.alpha2 * nrm2 + problem.beta2 * q3
+    q1, q2, q3 = _block_forms(X, y)
+    nrm2 = np.real(np.einsum("ij,ij->j", X.conj(), X))
+    d1, d2 = _denominators(problem, nrm2, q3)
     return q1, q2, q3, nrm2, d1, d2, y
-
-
-def _quotient_batch(q, d, nrm2, num_eps, den_eps):
-    zero_den = d <= den_eps * nrm2
-    out = np.divide(q, d, out=np.zeros_like(q), where=~zero_den)
-    out[zero_den & (q > num_eps * nrm2)] = np.inf
-    return out
-
-
-def _quotient_sum(problem, q1, q2, nrm2, d1, d2):
-    return _quotient_batch(q1, d1, nrm2, problem.num_eps1, problem.den_eps1) + _quotient_batch(
-        q2, d2, nrm2, problem.num_eps2, problem.den_eps2
-    )
 
 
 def _batch_objective(problem, X):
@@ -733,28 +757,18 @@ def _ladder_objective(problem, X, G, t, q1, q2, nrm2, d1, d2, y):
     point prices the retraction (x - s g) / ||x - s g||.  ``q1, q2, nrm2,
     d1, d2, y`` are the ``_batch_forms`` of X.  Returns the steps and the
     values, both of shape (25, columns)."""
-    n = problem.n
-    gc = G.conj()
-    # Re(g* M x) and g* M g for M = A1, A2, A3, I
-    lin = np.real(np.einsum("ij,kij->kj", gc, np.vstack((y, X)).reshape(4, n, -1)))
-    quad = np.real(
-        np.einsum("ij,kij->kj", gc, np.vstack((problem.stacked @ G, G)).reshape(4, n, -1))
+    # Re(g* M x) and g* M g for M = A1, A2, the two denominator matrices and
+    # I, from those for M = A1, A2, A3, I
+    lin, quad = (
+        np.array((c[0], c[1], *_denominators(problem, c[3], c[2]), c[3]))[:, None]
+        for c in (
+            _block_forms(G, np.vstack((y, X))),
+            _block_forms(G, np.vstack((problem.stacked @ G, G))),
+        )
     )
-
-    def with_denominators(c):  # M = A1, A2, alpha1 I + beta1 A3, alpha2 I + beta2 A3, I
-        return np.array(
-            (
-                c[0],
-                c[1],
-                problem.alpha1 * c[3] + problem.beta1 * c[2],
-                problem.alpha2 * c[3] + problem.beta2 * c[2],
-                c[3],
-            )
-        )[:, None]
-
     s = _LADDER[:, None] * t
-    forms = with_denominators(quad) * s
-    forms -= 2.0 * with_denominators(lin)
+    forms = quad * s
+    forms -= 2.0 * lin
     forms *= s
     forms += np.array((q1, q2, d1, d2, nrm2))[:, None]
     q1s, q2s, d1s, d2s, nrm2s = forms
@@ -783,10 +797,10 @@ def _batch_polish(problem, X, f, steps):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        d1i, d2i = d1[idx], d2[idx]
-        coeff3 = q1[idx] * problem.beta1 / d1i**2 + q2[idx] * problem.beta2 / d2i**2
         yi = y[:, idx]
-        hx = yi[:n] / d1i + yi[n : 2 * n] / d2i - coeff3 * yi[2 * n :]
+        hx = _h_combination(
+            problem, q1[idx], q2[idx], d1[idx], d2[idx], yi[:n], yi[n : 2 * n], yi[2 * n :]
+        )
         xi = X[:, idx]
         s = np.real(np.einsum("ij,ij->j", xi.conj(), hx))
         grad = hx - xi * s

@@ -337,7 +337,7 @@ def test_criterion_08_gradient_identity(capsys):
         x = None
         for _ in range(60):
             cand = linalg.normalize(complex_normal(rng, n, 1).ravel())
-            q3 = srq2.quadratic_form(problem.a3, cand)
+            q3 = np.real(np.vdot(cand, problem.a3 @ cand))
             d1 = problem.alpha1 + problem.beta1 * q3
             d2 = problem.alpha2 + problem.beta2 * q3
             # keep a denominator margin so the third derivative stays tame

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rosen_bkerr import cli, srq2
+from rosen_bkerr import cli, jnr, srq2
 from rosen_bkerr.backward_error import srq2_problem_for
 from rosen_bkerr.rosenbrock import RosenbrockSystem, assemble_error_matrices
 from support import (
@@ -15,6 +15,7 @@ from support import (
     EXAMPLE_A3,
     EXAMPLE_PARAMS,
     SOLVE_VALUE,
+    example_problem,
     random_system,
 )
 
@@ -307,6 +308,11 @@ def test_jnr_on_quotient_document(tmp_path):
     assert meta["supportGap"] <= 1e-8
     assert meta["boundaryObjectiveGap"] >= -1e-9
     assert meta["solver"]["converged"] is True
+    # the gap is taken over the objective at the boundary witnesses
+    problem = example_problem()
+    points = jnr.boundary_sample((problem.a1, problem.a2, problem.a3), jnr.direction_grid(24))
+    boundary_min = min(srq2.objective(problem, p.witness) for p in points)
+    assert meta["boundaryObjectiveGap"] == boundary_min - meta["objectiveAtSolution"]
 
 
 def test_jnr_identical_across_runs(tmp_path):
