@@ -13,8 +13,8 @@ norm making lambda an exact eigenvalue.  Every pattern is computable:
 
 ``ROUTES`` is the one table of that pattern-to-route map, read by every
 function here.  ``backward_error`` follows the pattern's route and
-attaches a reconstructed minimal perturbation and an independently
-recomputed certificate.
+attaches an independently recomputed certificate, which carries the
+minimal perturbation it reconstructs.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ _LETTERS = "ABCP"
 
 _ZERO_GATE = 1e-12
 _RHS_ZERO_TOL = 1e-12
-_NULL_TOL = 1e-10
 _FEAS_VEC_TOL = 1e-8
 _RESIDUAL_FACTOR = 1e-8
 _NORM_MATCH_TOL = 1e-10
@@ -238,15 +237,21 @@ class CertificateCheck:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Certification quantities re-derived from a result's (eta, x) alone."""
+    """Certification quantities re-derived from a result's (eta, x) alone,
+    with the perturbation rebuilt from them (None when x is infeasible)."""
 
     checks: tuple[CertificateCheck, ...]
     passed: bool
-    delta_norm: float
+    perturbation: SystemDelta | None
     sigma_min_perturbed: float
     nepv_residual: float | None = None
     pencil_residual: float | None = None
     failure: str | None = None
+
+    @property
+    def delta_norm(self) -> float:
+        """Aggregate norm of the rebuilt perturbation; NaN without one."""
+        return math.nan if self.perturbation is None else self.perturbation.norm()
 
 
 @dataclass(frozen=True)
@@ -254,8 +259,9 @@ class BackwardErrorResult:
     """Backward error ``eta`` (may be +inf) with its minimizer and audit data.
 
     For transposed patterns ``x`` is the minimizer of the transposed
-    problem (flagged by ``transposed``); the stored perturbation always
-    applies to the original system.
+    problem (flagged by ``transposed``); the perturbation, the one the
+    certificate rebuilt from (eta, x), always applies to the original
+    system.
     """
 
     eta: float
@@ -296,9 +302,9 @@ def _pencil_data(route: Route, em: ErrorMatrices):
     pattern freezes, the pencil (M, N) restricted to it, the name of N, and
     the factor that turns the pencil's eigenvalue into eta^2."""
     if "A" in route.inner or "B" in route.inner:  # C and P are frozen
-        basis, numerator, v = linalg.psd_nullspace(em.g2, _NULL_TOL), em.g1, "V"
+        basis, numerator, v = linalg.psd_nullspace(em.g2), em.g1, "V"
     else:  # A and B are frozen
-        basis, numerator, v = linalg.psd_nullspace(em.g1, _NULL_TOL), em.g2, "U"
+        basis, numerator, v = linalg.psd_nullspace(em.g1), em.g2, "U"
     rhs = {"H1": em.h1, "H2": em.h2, "Hlam": em.h_lambda}.get(route.rhs)
     if rhs is None:
         nmat = np.eye(basis.shape[1], dtype=np.complex128)
@@ -320,7 +326,7 @@ def _solve_pencil(route: Route, em: ErrorMatrices):
         w, vecs = np.linalg.eigh(m)
         value, y = float(w[0]), vecs[:, 0]
     else:
-        value, y = linalg.semidefinite_pencil_smallest(m, nmat, _NULL_TOL)
+        value, y = linalg.semidefinite_pencil_smallest(m, nmat)
     return scale * value, linalg.fix_phase(linalg.normalize(basis @ y)), None
 
 
@@ -332,11 +338,9 @@ def backward_error(
     restarts: int = 5,
     seed: int = 0,
     tol: float = 1e-10,
-    max_iter: int = 400,
-    max_shift_tries: int = 40,
 ) -> BackwardErrorResult:
     """Backward error of the shift ``lam`` under the given pattern, with a
-    reconstructed minimal perturbation and a from-scratch certificate.
+    from-scratch certificate and the minimal perturbation it reconstructs.
 
     Returns eta = 0 immediately when lam is already a numerical eigenvalue
     (the zero perturbation works for every pattern), eta = +inf with a
@@ -348,12 +352,11 @@ def backward_error(
     lam = complex(lam)
     route = ROUTES[pattern.letters]
     s_mat = system.evaluate(lam)
-    solver = perturbation = witness = None
+    solver = witness = None
     converged = True
     if linalg.smallest_singular_value(s_mat) <= _ZERO_GATE * max(1.0, linalg.norm1(s_mat)):
         method, transposed = METHOD_ZERO_EIGENVALUE, False
         value, x = 0.0, linalg.fix_phase(np.linalg.svd(s_mat)[2][-1].conj())
-        perturbation = SystemDelta.zero(system.r, system.n, system.d)
     else:
         transposed = route.transposed
         method = f"transposed_{route.kind}" if transposed else route.kind
@@ -363,23 +366,13 @@ def backward_error(
             value, x, witness = _solve_pencil(route, em)
         else:
             solver = srq2.solve(
-                srq2_problem_for(route.inner, em),
-                restarts=restarts,
-                seed=seed,
-                tol=tol,
-                max_iter=max_iter,
-                max_shift_tries=max_shift_tries,
+                srq2_problem_for(route.inner, em), restarts=restarts, seed=seed, tol=tol
             )
             value, x, converged = solver.value, solver.x, solver.converged
             if not math.isfinite(value):
                 value, x, converged = math.inf, None, False
                 witness = "quotient-sum objective was unbounded at every candidate"
-        if witness is None:
-            try:  # a feasibility violation is reported by the certificate
-                perturbation = _reconstruct(work, lam, route, x)
-            except ReconstructionError:
-                pass
-        elif transposed:
+        if witness is not None and transposed:
             witness = f"transposed system: {witness}"
     result = BackwardErrorResult(
         eta=math.sqrt(max(value, 0.0)),
@@ -389,12 +382,12 @@ def backward_error(
         lam=lam,
         transposed=transposed,
         converged=converged,
-        perturbation=perturbation,
         solver=solver,
         infeasibility_witness=witness,
     )
     if witness is None:
-        result = replace(result, certificate=certify(system, lam, pattern, result))
+        cert = certify(system, lam, pattern, result)
+        result = replace(result, perturbation=cert.perturbation, certificate=cert)
     return result
 
 
@@ -437,12 +430,7 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Syste
     mapped back.
     """
     route = ROUTES[_as_pattern(pattern).letters]
-    return _reconstruct(system.transpose() if route.transposed else system, lam, route, x)
-
-
-def _reconstruct(work: RosenbrockSystem, lam, route: Route, x) -> SystemDelta:
-    """Reconstruction on the system the route solves on (the transposed one
-    for transposed routes), mapped back to the original system."""
+    work = system.transpose() if route.transposed else system
     lam = complex(lam)
     r, n, d = work.r, work.n, work.d
     x = np.asarray(x, dtype=np.complex128).ravel()
@@ -481,7 +469,8 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
             _check("sigma_min of the unperturbed evaluation", smin, smin_bound),
             _check("eta equals the zero perturbation's norm", abs(result.eta), 0.0),
         )
-        return Certificate(checks, all(c.passed for c in checks), 0.0, smin)
+        zero = SystemDelta.zero(system.r, system.n, system.d)
+        return Certificate(checks, all(c.passed for c in checks), zero, smin)
 
     if not math.isfinite(result.eta) or result.x is None:
         raise ValueError("certify requires a finite result carrying a minimizer")
@@ -489,7 +478,7 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
     try:
         delta = reconstruct_perturbation(system, lam, pattern, result.x)
     except ReconstructionError as exc:
-        return Certificate((), False, math.nan, math.nan, failure=str(exc))
+        return Certificate((), False, None, math.nan, failure=str(exc))
 
     eta = result.eta
     delta_norm = delta.norm()
@@ -526,7 +515,7 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
     return Certificate(
         tuple(checks),
         all(c.passed for c in checks),
-        delta_norm,
+        delta,
         smin,
         nepv_residual,
         pencil_residual,

@@ -440,18 +440,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structured eigenvalue backward errors of Rosenbrock system matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the solver settings of every command that solves
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--restarts", type=int, default=5)
+    solver.add_argument("--tol", type=float, default=1e-10)
+    solver.add_argument("--seed", type=int, default=0)
 
-    p_compute = sub.add_parser("compute", help="backward error of a shift under a pattern")
+    p_compute = sub.add_parser(
+        "compute", parents=[solver], help="backward error of a shift under a pattern"
+    )
     p_compute.add_argument("--system", required=True, help="system document (JSON)")
     p_compute.add_argument("--lambda", dest="lam", required=True, help="shift literal a+bi")
     p_compute.add_argument("--pattern", default="ABCP", help="perturbable blocks, e.g. AP")
-    p_compute.add_argument("--restarts", type=int, default=5)
-    p_compute.add_argument("--tol", type=float, default=1e-10)
-    p_compute.add_argument("--seed", type=int, default=0)
     p_compute.add_argument("--out", default=None, help="result document path (default stdout)")
     p_compute.set_defaults(func=cmd_compute)
 
-    p_jnr = sub.add_parser("jnr", help="sample the joint numerical range boundary")
+    p_jnr = sub.add_parser(
+        "jnr", parents=[solver], help="sample the joint numerical range boundary"
+    )
     p_jnr.add_argument(
         "--system",
         required=True,
@@ -460,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_jnr.add_argument("--lambda", dest="lam", default=None, help="shift literal a+bi")
     p_jnr.add_argument("--pattern", default="ABCP")
     p_jnr.add_argument("--samples", type=int, default=800)
-    p_jnr.add_argument("--restarts", type=int, default=5)
-    p_jnr.add_argument("--tol", type=float, default=1e-10)
-    p_jnr.add_argument("--seed", type=int, default=0)
     p_jnr.add_argument("--out", default=None, help="CSV path (sidecar written next to it)")
     p_jnr.set_defaults(func=cmd_jnr)
 
@@ -471,13 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--result", required=True, help="result document (JSON)")
     p_cert.set_defaults(func=cmd_certify)
 
-    p_oracle = sub.add_parser("oracle-check", help="audit the solver against the sampled oracle")
+    p_oracle = sub.add_parser(
+        "oracle-check", parents=[solver], help="audit the solver against the sampled oracle"
+    )
     p_oracle.add_argument("--n", type=int, default=3, help="problem dimension (<= 6)")
     p_oracle.add_argument("--trials", type=int, default=50)
     p_oracle.add_argument("--budget", type=int, default=5000)
-    p_oracle.add_argument("--restarts", type=int, default=5)
-    p_oracle.add_argument("--tol", type=float, default=1e-10)
-    p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     return parser

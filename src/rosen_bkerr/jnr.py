@@ -40,7 +40,7 @@ class JnrPoint:
 
 
 def _hermitian_triple(matrices) -> list[np.ndarray]:
-    mats = [linalg.hermitian_part(m, f"matrix {i+1}")[0] for i, m in enumerate(matrices)]
+    mats = [linalg.hermitian_part(m, f"matrix {i+1}") for i, m in enumerate(matrices)]
     if len(mats) != 3:
         raise ValueError("expected exactly three matrices")
     if not (mats[0].shape == mats[1].shape == mats[2].shape):

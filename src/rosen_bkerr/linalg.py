@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# Eigenvalues at or below this times max(1, ||M||_1) count as zero in every
+# null space and every semidefinite pencil denominator of the package.
+_NULL_TOL = 1e-10
+
+
 class EigenConvergenceError(RuntimeError):
     """The eigenvalue iteration failed to converge."""
 
@@ -95,14 +100,12 @@ def fix_phase(v) -> np.ndarray:
     return v * (a.conjugate() / mag)
 
 
-def hermitian_part(m, name: str = "matrix") -> tuple[np.ndarray, float]:
-    """Split ``m`` into (m + m*)/2, returning the Hermitian part and the
-    Frobenius norm of the discarded skew component."""
+def hermitian_part(m, name: str = "matrix") -> np.ndarray:
+    """The Hermitian part (m + m*)/2 of a square matrix."""
     m = as_complex_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    h = (m + m.conj().T) / 2.0
-    return h, float(np.linalg.norm(m - h))
+    return (m + m.conj().T) / 2.0
 
 
 def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
@@ -114,8 +117,8 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     factorization fails, signalling the caller to take a semidefinite or
     infeasible branch.
     """
-    M, _ = hermitian_part(m, "pencil left-hand side")
-    N, _ = hermitian_part(n, "pencil right-hand side")
+    M = hermitian_part(m, "pencil left-hand side")
+    N = hermitian_part(n, "pencil right-hand side")
     if M.shape != N.shape:
         raise ValueError(f"pencil shapes differ: {M.shape} vs {N.shape}")
     try:
@@ -136,7 +139,7 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     return float(w[0]), fix_phase(v)
 
 
-def semidefinite_pencil_smallest(m, n, tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     """Infimum of the Rayleigh quotient (y* M y)/(y* N y) over y* N y > 0,
     for Hermitian M and positive-semidefinite N, plus an attaining unit
     vector.
@@ -147,17 +150,17 @@ def semidefinite_pencil_smallest(m, n, tol: float = 1e-10) -> tuple[float, np.nd
     definite (otherwise NotPositiveDefiniteError).  The returned y
     satisfies M y = value * N y.
     """
-    M, _ = hermitian_part(m, "pencil left-hand side")
-    N, _ = hermitian_part(n, "pencil right-hand side")
+    M = hermitian_part(m, "pencil left-hand side")
+    N = hermitian_part(n, "pencil right-hand side")
     if M.shape != N.shape:
         raise ValueError(f"pencil shapes differ: {M.shape} vs {N.shape}")
     w, W = np.linalg.eigh(N)
     scale = norm1(N)
-    if w.size and w[0] < -tol * scale:
+    if w.size and w[0] < -_NULL_TOL * scale:
         raise IndefiniteMatrixError(
             f"pencil right-hand side has eigenvalue {w[0]:.3e} below -tol*||N||_1"
         )
-    pos = w > tol * max(1.0, scale)
+    pos = w > _NULL_TOL * max(1.0, scale)
     if not pos.any():
         raise NotPositiveDefiniteError("pencil right-hand side is numerically zero")
     if pos.all():
@@ -184,21 +187,22 @@ def semidefinite_pencil_smallest(m, n, tol: float = 1e-10) -> tuple[float, np.nd
     return value, fix_phase(y / np.linalg.norm(y))
 
 
-def psd_nullspace(m, tol: float = 1e-10) -> np.ndarray:
+def psd_nullspace(m) -> np.ndarray:
     """Orthonormal basis (as columns, possibly zero of them) of the numerical
     null space of a positive-semidefinite matrix.
 
-    Eigenvalues at or below tol * max(1, ||M||_1) count as zero; an
-    eigenvalue below -tol * ||M||_1 raises IndefiniteMatrixError.
+    Eigenvalues at or below tol * max(1, ||M||_1) count as zero, with the
+    package's null-space threshold tol; an eigenvalue below -tol * ||M||_1
+    raises IndefiniteMatrixError.
     """
-    M, _ = hermitian_part(m)
+    M = hermitian_part(m)
     w, V = np.linalg.eigh(M)
     scale = norm1(M)
-    if w.size and w[0] < -tol * scale:
+    if w.size and w[0] < -_NULL_TOL * scale:
         raise IndefiniteMatrixError(
-            f"matrix has eigenvalue {w[0]:.3e} below -tol*||M||_1 = {-tol * scale:.3e}"
+            f"matrix has eigenvalue {w[0]:.3e} below -tol*||M||_1 = {-_NULL_TOL * scale:.3e}"
         )
-    keep = w <= tol * max(1.0, scale)
+    keep = w <= _NULL_TOL * max(1.0, scale)
     return V[:, keep].copy()
 
 

@@ -129,7 +129,6 @@ class ErrorMatrices:
     h2: np.ndarray
     gamma: float
     lam: complex
-    asymmetry: float
 
     @property
     def h_lambda(self) -> np.ndarray:
@@ -140,10 +139,10 @@ class ErrorMatrices:
 def assemble_error_matrices(system: RosenbrockSystem, lam) -> ErrorMatrices:
     lam = complex(lam)
     r, n = system.r, system.n
-    row1 = np.hstack([system.A - lam * np.eye(r), system.B])
-    row2 = np.hstack([system.C, system.poly_at(lam)])
-    g1, asym1 = linalg.hermitian_part(row1.conj().T @ row1, "g1")
-    g2, asym2 = linalg.hermitian_part(row2.conj().T @ row2, "g2")
+    s_mat = system.evaluate(lam)
+    row1, row2 = s_mat[:r], s_mat[r:]
+    g1 = linalg.hermitian_part(row1.conj().T @ row1, "g1")
+    g2 = linalg.hermitian_part(row2.conj().T @ row2, "g2")
     diag = np.zeros(r + n)
     diag[:r] = 1.0
     h1 = np.diag(diag).astype(np.complex128)
@@ -157,5 +156,4 @@ def assemble_error_matrices(system: RosenbrockSystem, lam) -> ErrorMatrices:
         h2=_frozen(h2),
         gamma=gamma,
         lam=lam,
-        asymmetry=max(asym1, asym2),
     )

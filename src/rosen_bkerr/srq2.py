@@ -66,6 +66,9 @@ _SHIFT_SLACK = 1e-14
 # 1e-1, most starts next to the spurious stationary point of the reference
 # problem end on it; with 1e-3, none do.
 _NEWTON_SWITCH = 1e-3
+# Caps of ``scf_solve``: sweeps per run, and level shifts tried per sweep.
+_MAX_SWEEPS = 400
+_MAX_SHIFT_TRIES = 40
 
 SOURCE_SCF = "scf"
 SOURCE_NONDIFF_1 = "nondiff1"
@@ -86,11 +89,10 @@ class CommonNullViolationError(ValueError):
 class Srq2Problem:
     """Validated quotient data.
 
-    Construction symmetrizes the three matrices (recording the largest
-    correction in ``asymmetry``), verifies they and both denominator
-    matrices alpha_i I + beta_i A3 are positive semidefinite, and records
-    in ``common_null_ok`` whether the denominators have no common null
-    vector (the sum of the two is positive definite).
+    Construction symmetrizes the three matrices, verifies they and both
+    denominator matrices alpha_i I + beta_i A3 are positive semidefinite,
+    and records in ``common_null_ok`` whether the denominators have no
+    common null vector (the sum of the two is positive definite).
     """
 
     a1: np.ndarray
@@ -100,15 +102,12 @@ class Srq2Problem:
     beta1: float
     alpha2: float
     beta2: float
-    asymmetry: float = field(init=False, repr=False)
     common_null_ok: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        asym = 0.0
         mats = {}
         for name in ("a1", "a2", "a3"):
-            h, a = linalg.hermitian_part(getattr(self, name), name)
-            asym = max(asym, a)
+            h = linalg.hermitian_part(getattr(self, name), name)
             h.setflags(write=False)
             object.__setattr__(self, name, h)
             mats[name] = h
@@ -135,7 +134,6 @@ class Srq2Problem:
         s = self.b1 + self.b2
         wmin = float(np.linalg.eigvalsh(s)[0])
         common = wmin > _PSD_TOL * max(1.0, linalg.norm1(s))
-        object.__setattr__(self, "asymmetry", asym)
         object.__setattr__(self, "common_null_ok", bool(common))
 
     @property
@@ -272,10 +270,6 @@ def objective(problem: Srq2Problem, x) -> float:
     whose numerator and denominator both vanish contributes 0; a vanishing
     denominator under a positive numerator makes the value +inf."""
     return _point(problem, np.asarray(x, dtype=np.complex128).ravel()).value
-
-
-def is_differentiable(problem: Srq2Problem, x) -> bool:
-    return _point(problem, np.asarray(x, dtype=np.complex128).ravel()).smooth
 
 
 def _stationarity_matrix(problem, p: _Point) -> np.ndarray:
@@ -469,14 +463,7 @@ def _newton_step(problem, p: _Point, res: _Residual):
     return cand, cand_res
 
 
-def scf_solve(
-    problem: Srq2Problem,
-    x0,
-    *,
-    max_iter: int = 400,
-    tol: float = 1e-10,
-    max_shift_tries: int = 40,
-) -> Srq2Solution:
+def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     """Level-shifted self-consistent-field iteration on H(x) x = mu x,
     finished by safeguarded Riemannian Newton steps.
 
@@ -505,9 +492,10 @@ def scf_solve(
     the level-shifted sweeps from the same iterate.
 
     Convergence is declared when the relative residual drops to ``tol``.
-    On a sweep cap or shift-search exhaustion the best iterate seen is
-    returned flagged ``converged=False``.  ``iterations`` counts sweeps and
-    Newton steps; ``shifts_used`` holds the shifts of accepted sweeps only.
+    On the sweep cap (400) or shift-search exhaustion (40 shifts tried in
+    one sweep) the best iterate seen is returned flagged
+    ``converged=False``.  ``iterations`` counts sweeps and Newton steps;
+    ``shifts_used`` holds the shifts of accepted sweeps only.
     """
     rng = np.random.default_rng(0x5CF5EED)
     x = linalg.fix_phase(linalg.normalize(np.asarray(x0, dtype=np.complex128).ravel()))
@@ -519,11 +507,11 @@ def scf_solve(
     shifts: list[float] = []
     newton = False
     converged = False
-    for k in range(max_iter + 1):
+    for k in range(_MAX_SWEEPS + 1):
         if res.rel <= tol:
             converged = True
             break
-        if k == max_iter:
+        if k == _MAX_SWEEPS:
             break
         step = None
         if newton:
@@ -545,7 +533,7 @@ def scf_solve(
         if delta <= 1e-14:
             delta = max(1e-8, 1e-8 * res.norm1)
         accepted = False
-        for t in range(max_shift_tries):
+        for t in range(_MAX_SHIFT_TRIES):
             if t == 0:
                 sigma = 0.0
                 v = vecs[:, 0]
@@ -595,7 +583,7 @@ class NondiffCandidate(NamedTuple):
     which: int
 
 
-def nondiff_candidates(problem: Srq2Problem, *, null_tol: float = 1e-10) -> list[NondiffCandidate]:
+def nondiff_candidates(problem: Srq2Problem) -> list[NondiffCandidate]:
     """Candidate minimizers on the set where one quotient is 0/0.
 
     For quotient i the candidates live in the null space of
@@ -616,7 +604,7 @@ def nondiff_candidates(problem: Srq2Problem, *, null_tol: float = 1e-10) -> list
     )
     for which, num, den, other, alpha_o, beta_o in specs:
         q = num + den
-        basis = linalg.psd_nullspace(q, null_tol)
+        basis = linalg.psd_nullspace(q)
         k = basis.shape[1]
         if k == 0:
             continue
@@ -639,12 +627,9 @@ def _single_quotient_starts(problem: Srq2Problem) -> list[np.ndarray]:
     out = []
     for a, b in ((problem.a1, problem.b1), (problem.a2, problem.b2)):
         try:
-            _, v = linalg.definite_pencil_smallest(a, b)
-        except linalg.NotPositiveDefiniteError:
-            try:
-                _, v = linalg.semidefinite_pencil_smallest(a, b)
-            except (linalg.NotPositiveDefiniteError, linalg.IndefiniteMatrixError):
-                continue
+            _, v = linalg.semidefinite_pencil_smallest(a, b)
+        except (linalg.NotPositiveDefiniteError, linalg.IndefiniteMatrixError):
+            continue
         out.append(v)
     return out
 
@@ -679,8 +664,6 @@ def solve(
     restarts: int = 5,
     seed: int = 0,
     tol: float = 1e-10,
-    max_iter: int = 400,
-    max_shift_tries: int = 40,
 ) -> Srq2Solution:
     """Global minimization: SCF runs from ``restarts`` seeded random unit
     starts plus the two single-quotient minimizers, unioned with the
@@ -698,9 +681,7 @@ def solve(
     starts.extend(_single_quotient_starts(problem))
 
     def run(x0):
-        return scf_solve(
-            problem, x0, max_iter=max_iter, tol=tol, max_shift_tries=max_shift_tries
-        )
+        return scf_solve(problem, x0, tol=tol)
 
     candidates: list[Srq2Solution] = _parallel.parallel_map(run, starts)
     if problem.common_null_ok:

@@ -341,8 +341,9 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     system = random_system(rng, r=2, n=3, d=1)
     lam = 0.3 + 0.4j
     s_mat = system.evaluate(lam)
-    gates, certificates = [], []
+    gates, certificates, row_maps = [], [], []
     smallest_singular_value, certify_fn = linalg.smallest_singular_value, _be.certify
+    row_maps_fn = _be._row_maps
 
     def counting_smin(m):
         m = np.asarray(m)
@@ -354,8 +355,13 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
         certificates.append(args)
         return certify_fn(*args, **kwargs)
 
+    def counting_row_maps(*args, **kwargs):
+        row_maps.append(args)
+        return row_maps_fn(*args, **kwargs)
+
     monkeypatch.setattr(linalg, "smallest_singular_value", counting_smin)
     monkeypatch.setattr(_be, "certify", counting_certify)
+    monkeypatch.setattr(_be, "_row_maps", counting_row_maps)
     result = _be.backward_error(system, lam, letters, restarts=2)
     assert result.method == (f"transposed_{route.kind}" if route.transposed else route.kind)
     assert result.transposed == route.transposed
@@ -363,6 +369,9 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     # one zero gate on S(lambda) and one certificate, also for transposed routes
     assert len(gates) == 1
     assert len(certificates) == 1
+    # one reconstruction (a map per block row), kept by the certificate
+    assert len(row_maps) == 2
+    assert result.perturbation is result.certificate.perturbation
 
 
 @pytest.mark.parametrize("letters", [p.letters for p in all_patterns()])

@@ -337,7 +337,7 @@ def _reference_polish(problem, x, f, steps):
     """One column of the polish, one backtracking trial at a time."""
     t = 1.0
     for _ in range(steps):
-        if not (srq2.is_differentiable(problem, x) and math.isfinite(f) and t > 1e-18):
+        if not (srq2._point(problem, x).smooth and math.isfinite(f) and t > 1e-18):
             break
         hx = srq2.nepv_matrix(problem, x) @ x
         grad = hx - x * np.real(np.vdot(x, hx))
@@ -483,7 +483,7 @@ def _reference_scf(problem, x0, *, max_iter=400, tol=1e-10, max_shift_tries=40):
 
     def nudge(x):
         for attempt in range(40):
-            if srq2.is_differentiable(problem, x):
+            if srq2._point(problem, x).smooth:
                 return x
             d = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
             d = _horizontal(x, d)
