@@ -17,7 +17,6 @@ from .backward_error import (
     CertificateCheck,
     PerturbationPattern,
     ReconstructionError,
-    SystemDelta,
     all_patterns,
     backward_error,
     certify,
@@ -71,7 +70,6 @@ __all__ = [
     "RosenbrockSystem",
     "Srq2Problem",
     "Srq2Solution",
-    "SystemDelta",
     "all_patterns",
     "assemble_error_matrices",
     "backward_error",

@@ -22,18 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable
 
 import numpy as np
 
 from . import linalg, srq2
-from .rosenbrock import (
-    ErrorMatrices,
-    RosenbrockSystem,
-    aggregate_norm,
-    assemble_error_matrices,
-    transposed_blocks,
-)
+from .rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
 
 __all__ = [
     "BackwardErrorResult",
@@ -48,7 +41,6 @@ __all__ = [
     "ROUTES",
     "ReconstructionError",
     "Route",
-    "SystemDelta",
     "all_patterns",
     "backward_error",
     "certify",
@@ -124,7 +116,7 @@ class Route:
     matrix of the block row its pattern freezes, with the right-hand side
     ``rhs`` (the projector "H1" or "H2", the weighting "Hlam", or the
     identity for None).  An SRQ2 route takes its scalar pairs from
-    ``scalars``, an entry of ``srq2.PATTERN_SCALARS``.  With
+    ``srq2.PATTERN_SCALARS[inner]``.  With
     ``over_gamma`` the second block row's Gram matrix G2 enters divided by
     the polynomial weight gamma, which scales the value by 1/gamma.
     """
@@ -133,11 +125,9 @@ class Route:
     inner: str
     transposed: bool = False
     rhs: str | None = None
-    scalars: Callable[[float], tuple[float, float, float, float]] | None = None
     over_gamma: bool = False
 
 
-_SCALARS = srq2.PATTERN_SCALARS
 ROUTES = MappingProxyType(
     {
         "A": Route(METHOD_PENCIL, "A", rhs="H1"),
@@ -146,17 +136,15 @@ ROUTES = MappingProxyType(
         "P": Route(METHOD_PENCIL, "P", rhs="H2", over_gamma=True),
         "AB": Route(METHOD_PENCIL, "AB"),
         "AC": Route(METHOD_PENCIL, "AB", transposed=True),
-        "AP": Route(METHOD_SRQ2, "AP", scalars=_SCALARS["AP"], over_gamma=True),
-        "BC": Route(METHOD_SRQ2, "BC", scalars=_SCALARS["BC"]),
+        "AP": Route(METHOD_SRQ2, "AP", over_gamma=True),
+        "BC": Route(METHOD_SRQ2, "BC"),
         "BP": Route(METHOD_PENCIL, "CP", transposed=True, rhs="Hlam"),
         "CP": Route(METHOD_PENCIL, "CP", rhs="Hlam"),
-        "ABC": Route(METHOD_SRQ2, "ABC", scalars=_SCALARS["ABC"]),
-        "ABP": Route(METHOD_SRQ2, "ABP", scalars=_SCALARS["ABP"], over_gamma=True),
-        "ACP": Route(
-            METHOD_SRQ2, "ABP", transposed=True, scalars=_SCALARS["ABP"], over_gamma=True
-        ),
-        "BCP": Route(METHOD_SRQ2, "BCP", scalars=_SCALARS["BCP"]),
-        "ABCP": Route(METHOD_SRQ2, "ABCP", scalars=_SCALARS["ABCP"]),
+        "ABC": Route(METHOD_SRQ2, "ABC"),
+        "ABP": Route(METHOD_SRQ2, "ABP", over_gamma=True),
+        "ACP": Route(METHOD_SRQ2, "ABP", transposed=True, over_gamma=True),
+        "BCP": Route(METHOD_SRQ2, "BCP"),
+        "ABCP": Route(METHOD_SRQ2, "ABCP"),
     }
 )
 
@@ -174,60 +162,6 @@ def _as_pattern(pattern) -> PerturbationPattern:
 
 
 @dataclass(frozen=True)
-class SystemDelta:
-    """Blockwise perturbation with the same shapes as a system's blocks.
-    Blocks outside the generating pattern are identically zero."""
-
-    dA: np.ndarray
-    dB: np.ndarray
-    dC: np.ndarray
-    d_poly: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        dA = linalg.as_complex_matrix(self.dA, "dA")
-        dB = linalg.as_complex_matrix(self.dB, "dB")
-        dC = linalg.as_complex_matrix(self.dC, "dC")
-        r = dA.shape[0]
-        n = dB.shape[1]
-        if dA.shape != (r, r) or dB.shape != (r, n) or dC.shape != (n, r):
-            raise ValueError("delta block shapes are inconsistent")
-        coeffs = tuple(
-            linalg.as_complex_matrix(m, f"d_poly[{j}]") for j, m in enumerate(self.d_poly)
-        )
-        if not coeffs or any(m.shape != (n, n) for m in coeffs):
-            raise ValueError("d_poly must hold d+1 matrices of shape (n, n)")
-        object.__setattr__(self, "dA", dA)
-        object.__setattr__(self, "dB", dB)
-        object.__setattr__(self, "dC", dC)
-        object.__setattr__(self, "d_poly", coeffs)
-
-    @classmethod
-    def zero(cls, r: int, n: int, d: int) -> "SystemDelta":
-        return cls(
-            dA=np.zeros((r, r), dtype=np.complex128),
-            dB=np.zeros((r, n), dtype=np.complex128),
-            dC=np.zeros((n, r), dtype=np.complex128),
-            d_poly=tuple(np.zeros((n, n), dtype=np.complex128) for _ in range(d + 1)),
-        )
-
-    def norm(self) -> float:
-        return aggregate_norm(self.dA, self.dB, self.dC, *self.d_poly)
-
-    def transpose(self) -> "SystemDelta":
-        """The matching perturbation of the transposed system."""
-        return SystemDelta(*transposed_blocks(self.dA, self.dB, self.dC, self.d_poly))
-
-    def subtract_from(self, system: RosenbrockSystem) -> RosenbrockSystem:
-        """The perturbed system whose blocks are the originals minus these."""
-        return RosenbrockSystem(
-            A=system.A - self.dA,
-            B=system.B - self.dB,
-            C=system.C - self.dC,
-            poly_coeffs=tuple(c - m for c, m in zip(system.poly_coeffs, self.d_poly)),
-        )
-
-
-@dataclass(frozen=True)
 class CertificateCheck:
     name: str
     value: float
@@ -238,15 +172,19 @@ class CertificateCheck:
 @dataclass(frozen=True)
 class Certificate:
     """Certification quantities re-derived from a result's (eta, x) alone,
-    with the perturbation rebuilt from them (None when x is infeasible)."""
+    with the perturbation rebuilt from them (None when x is infeasible).
+    It passes when the perturbation was rebuilt and every check passes."""
 
     checks: tuple[CertificateCheck, ...]
-    passed: bool
-    perturbation: SystemDelta | None
+    perturbation: RosenbrockSystem | None
     sigma_min_perturbed: float
     nepv_residual: float | None = None
     pencil_residual: float | None = None
     failure: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None and all(c.passed for c in self.checks)
 
     @property
     def delta_norm(self) -> float:
@@ -269,12 +207,22 @@ class BackwardErrorResult:
     method: str
     pattern: PerturbationPattern
     lam: complex
-    transposed: bool = False
     converged: bool = True
-    perturbation: SystemDelta | None = None
     solver: srq2.Srq2Solution | None = None
     infeasibility_witness: str | None = None
     certificate: Certificate | None = None
+
+    @property
+    def transposed(self) -> bool:
+        """Whether ``x`` belongs to the transposed system's problem."""
+        return self.method.startswith("transposed_")
+
+    @property
+    def perturbation(self) -> RosenbrockSystem | None:
+        """The minimal perturbation the certificate rebuilt, as a system of
+        the original's shapes; ``system - perturbation`` has lam as an
+        eigenvalue."""
+        return None if self.certificate is None else self.certificate.perturbation
 
 
 def srq2_problem_for(pattern, em: ErrorMatrices) -> srq2.Srq2Problem:
@@ -289,7 +237,7 @@ def srq2_problem_for(pattern, em: ErrorMatrices) -> srq2.Srq2Problem:
             "on the untransposed system"
         )
     a2 = em.g2 / em.gamma if route.over_gamma else em.g2
-    return srq2.Srq2Problem(em.g1, a2, em.h2, *route.scalars(em.gamma))
+    return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
 
 
 def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -355,12 +303,11 @@ def backward_error(
     solver = witness = None
     converged = True
     if linalg.smallest_singular_value(s_mat) <= _ZERO_GATE * max(1.0, linalg.norm1(s_mat)):
-        method, transposed = METHOD_ZERO_EIGENVALUE, False
+        method = METHOD_ZERO_EIGENVALUE
         value, x = 0.0, linalg.fix_phase(np.linalg.svd(s_mat)[2][-1].conj())
     else:
-        transposed = route.transposed
-        method = f"transposed_{route.kind}" if transposed else route.kind
-        work = system.transpose() if transposed else system
+        method = f"transposed_{route.kind}" if route.transposed else route.kind
+        work = system.transpose() if route.transposed else system
         em = assemble_error_matrices(work, lam)
         if route.kind == METHOD_PENCIL:
             value, x, witness = _solve_pencil(route, em)
@@ -372,7 +319,7 @@ def backward_error(
             if not math.isfinite(value):
                 value, x, converged = math.inf, None, False
                 witness = "quotient-sum objective was unbounded at every candidate"
-        if witness is not None and transposed:
+        if witness is not None and route.transposed:
             witness = f"transposed system: {witness}"
     result = BackwardErrorResult(
         eta=math.sqrt(max(value, 0.0)),
@@ -380,14 +327,12 @@ def backward_error(
         method=method,
         pattern=pattern,
         lam=lam,
-        transposed=transposed,
         converged=converged,
         solver=solver,
         infeasibility_witness=witness,
     )
     if witness is None:
-        cert = certify(system, lam, pattern, result)
-        result = replace(result, perturbation=cert.perturbation, certificate=cert)
+        result = replace(result, certificate=certify(system, lam, pattern, result))
     return result
 
 
@@ -417,9 +362,10 @@ def _row_maps(rhs: np.ndarray, parts: dict, open_blocks: str, res_tol: float) ->
     return maps
 
 
-def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> SystemDelta:
+def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> RosenbrockSystem:
     """Minimal-Frobenius-norm perturbation supported on the pattern that
-    makes lam an exact eigenvalue with null vector x.
+    makes lam an exact eigenvalue with null vector x, as a system of the
+    original's shapes (``system - delta`` is the perturbed system).
 
     Each block row of S(lam) x is cancelled by the minimal map onto the
     coordinates the pattern opens up: x1 for A and C, x2 for B, and
@@ -443,8 +389,7 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Syste
     trailing = np.concatenate([(lam**j) * x2 for j in range(d + 1)])
     dA, dB = _row_maps(s_mat[:r] @ x, {"A": x1, "B": x2}, route.inner, res_tol)
     dC, dP = _row_maps(s_mat[r:] @ x, {"C": x1, "P": trailing}, route.inner, res_tol)
-    d_poly = tuple(dP[:, j * n : (j + 1) * n] for j in range(d + 1))
-    delta = SystemDelta(dA=dA, dB=dB, dC=dC, d_poly=d_poly)
+    delta = RosenbrockSystem(dA, dB, dC, tuple(dP[:, j * n : (j + 1) * n] for j in range(d + 1)))
     return delta.transpose() if route.transposed else delta
 
 
@@ -469,8 +414,7 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
             _check("sigma_min of the unperturbed evaluation", smin, smin_bound),
             _check("eta equals the zero perturbation's norm", abs(result.eta), 0.0),
         )
-        zero = SystemDelta.zero(system.r, system.n, system.d)
-        return Certificate(checks, all(c.passed for c in checks), zero, smin)
+        return Certificate(checks, system - system, smin)
 
     if not math.isfinite(result.eta) or result.x is None:
         raise ValueError("certify requires a finite result carrying a minimizer")
@@ -478,12 +422,12 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
     try:
         delta = reconstruct_perturbation(system, lam, pattern, result.x)
     except ReconstructionError as exc:
-        return Certificate((), False, None, math.nan, failure=str(exc))
+        return Certificate((), None, math.nan, failure=str(exc))
 
     eta = result.eta
     delta_norm = delta.norm()
     norm_match = abs(delta_norm - eta) / eta if eta > 0.0 else abs(delta_norm)
-    smin = linalg.smallest_singular_value(delta.subtract_from(system).evaluate(lam))
+    smin = linalg.smallest_singular_value((system - delta).evaluate(lam))
     checks = [
         _check("perturbation norm matches eta (relative)", norm_match, _NORM_MATCH_TOL),
         _check("sigma_min of the perturbed evaluation", smin, smin_bound),
@@ -512,11 +456,4 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
             bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + mu * linalg.norm1(nmat))
             checks.append(_check("pencil eigenpair residual", pencil_residual, bound))
 
-    return Certificate(
-        tuple(checks),
-        all(c.passed for c in checks),
-        delta,
-        smin,
-        nepv_residual,
-        pencil_residual,
-    )
+    return Certificate(tuple(checks), delta, smin, nepv_residual, pencil_residual)

@@ -249,7 +249,18 @@ def _write_output(text: str, out_path) -> None:
 # Subcommands.
 
 
+def _check_solver_flags(args) -> None:
+    """Reject settings no solve can run with: a negative seed or restart
+    count, or a tolerance that is not a positive finite number."""
+    for name in ("seed", "restarts"):
+        if getattr(args, name) < 0:
+            raise CliInputError(f"{name} must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise CliInputError("tol must be a positive finite number")
+
+
 def cmd_compute(args) -> int:
+    _check_solver_flags(args)
     system = load_system_document(args.system)
     lam = parse_complex_literal(args.lam)
     try:
@@ -283,6 +294,7 @@ def _float_repr(x: float) -> str:
 
 
 def cmd_jnr(args) -> int:
+    _check_solver_flags(args)
     if args.samples < 1:
         raise CliInputError("samples must be at least 1")
     doc = _read_object(args.system)
@@ -366,7 +378,6 @@ def cmd_certify(args) -> int:
         method=str(doc.get("method", "")),
         pattern=pattern,
         lam=lam,
-        transposed=bool(doc.get("transposed", False)),
     )
     cert = certify(system, lam, pattern, stored)
     header = f"{'check':<42} {'value':>14} {'bound':>14} verdict"
@@ -382,6 +393,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    _check_solver_flags(args)
     if args.n > 6:
         raise CliInputError("oracle-check supports n <= 6")
     if args.n < 2:

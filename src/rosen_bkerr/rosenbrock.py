@@ -27,20 +27,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def aggregate_norm(*blocks) -> float:
-    """The root of the summed squared Frobenius norms of the blocks."""
-    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
-
-
-def transposed_blocks(a, b, c, poly) -> tuple:
-    """The blocks (A^T, C^T, B^T, P_j^T) of the transposed system, copied."""
-    return a.T.copy(), c.T.copy(), b.T.copy(), tuple(m.T.copy() for m in poly)
-
-
 @dataclass(frozen=True)
 class RosenbrockSystem:
     """Immutable container for the blocks A (r x r), B (r x n), C (n x r)
-    and the d+1 polynomial coefficients (each n x n)."""
+    and the d+1 polynomial coefficients (each n x n).  A blockwise
+    perturbation of a system is a system of the same shapes, and
+    ``system - delta`` is the perturbed system."""
 
     A: np.ndarray
     B: np.ndarray
@@ -107,13 +99,36 @@ class RosenbrockSystem:
         return np.vstack([top, bottom])
 
     def norm(self) -> float:
-        """Aggregate norm of A, B, C and every polynomial coefficient."""
-        return aggregate_norm(self.A, self.B, self.C, *self.poly_coeffs)
+        """Aggregate norm of A, B, C and every polynomial coefficient: the
+        root of their summed squared Frobenius norms."""
+        blocks = (self.A, self.B, self.C, *self.poly_coeffs)
+        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
 
     def transpose(self) -> "RosenbrockSystem":
         """The system whose evaluation is S(z)^T: swaps B and C transposed,
         transposes A and every coefficient.  An involution."""
-        return RosenbrockSystem(*transposed_blocks(self.A, self.B, self.C, self.poly_coeffs))
+        return RosenbrockSystem(
+            self.A.T.copy(),
+            self.C.T.copy(),
+            self.B.T.copy(),
+            tuple(m.T.copy() for m in self.poly_coeffs),
+        )
+
+    def __sub__(self, other: "RosenbrockSystem") -> "RosenbrockSystem":
+        """Blockwise difference of two systems of the same (r, n, d)."""
+        if not isinstance(other, RosenbrockSystem):
+            return NotImplemented
+        if (self.r, self.n, self.d) != (other.r, other.n, other.d):
+            raise ValueError(
+                f"cannot subtract a system of shape (r, n, d) = "
+                f"{(other.r, other.n, other.d)} from one of {(self.r, self.n, self.d)}"
+            )
+        return RosenbrockSystem(
+            self.A - other.A,
+            self.B - other.B,
+            self.C - other.C,
+            tuple(c - m for c, m in zip(self.poly_coeffs, other.poly_coeffs)),
+        )
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,6 @@ class ErrorMatrices:
     h1: np.ndarray
     h2: np.ndarray
     gamma: float
-    lam: complex
 
     @property
     def h_lambda(self) -> np.ndarray:
@@ -155,5 +169,4 @@ def assemble_error_matrices(system: RosenbrockSystem, lam) -> ErrorMatrices:
         h1=_frozen(h1),
         h2=_frozen(h2),
         gamma=gamma,
-        lam=lam,
     )

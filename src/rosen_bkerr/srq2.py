@@ -38,7 +38,6 @@ from . import _parallel, linalg
 
 __all__ = [
     "CommonNullViolationError",
-    "NondiffCandidate",
     "NondifferentiablePointError",
     "PATTERN_SCALARS",
     "PATTERN_TEMPLATES",
@@ -329,7 +328,9 @@ class Srq2Solution:
     ResidualInfo fields recomputed at x (NaN where H(x) is undefined);
     ``iterations`` counts SCF sweeps plus Newton steps and ``shifts_used``
     holds the level shift of each accepted sweep; ``source`` records which
-    search produced the point.
+    search produced the point: SOURCE_SCF, or SOURCE_NONDIFF_1 or
+    SOURCE_NONDIFF_2 for a closed-form candidate where that quotient is 0/0
+    (0 iterations, ``converged`` True).
     """
 
     x: np.ndarray
@@ -341,10 +342,9 @@ class Srq2Solution:
     shifts_used: tuple[float, ...]
     source: str
     converged: bool
-    tol: float
 
 
-def _solution_at(problem, x, *, iterations, shifts, source, converged, tol):
+def _solution_at(problem, x, *, iterations, shifts, source, converged):
     value = objective(problem, x)
     try:
         info = nepv_residuals(problem, x)
@@ -360,7 +360,6 @@ def _solution_at(problem, x, *, iterations, shifts, source, converged, tol):
         shifts_used=tuple(shifts),
         source=source,
         converged=converged,
-        tol=tol,
     )
 
 
@@ -473,13 +472,7 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     lowest eigenvalues of H(x_k).  Raising sigma pins the proposal ever
     closer to the current iterate, which suppresses the oscillation plain
     SCF is prone to.  A proposal is accepted when it strictly reduces the
-    objective, or when it reduces the relative fixed-point residual
-
-        || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1)
-
-    without measurably increasing the objective (the residual branch exists
-    for the endgame where objective decrements fall below double precision;
-    letting it override descent admits period-two cycles).
+    objective.
 
     Once x sits at the bottom of H(x)'s spectrum, that is once the residual
     against the smallest eigenvalue w0, || H(x) x - w0 x || / (||H(x)||_1 + 1),
@@ -491,7 +484,8 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     Newton steps diagonalize nothing; the first rejected step returns to
     the level-shifted sweeps from the same iterate.
 
-    Convergence is declared when the relative residual drops to ``tol``.
+    Convergence is declared when the relative fixed-point residual
+    || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to ``tol``.
     On the sweep cap (400) or shift-search exhaustion (40 shifts tried in
     one sweep) the best iterate seen is returned flagged
     ``converged=False``.  ``iterations`` counts sweeps and Newton steps;
@@ -532,7 +526,6 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
         delta = float(w[1] - w[0]) if w.size > 1 else 0.0
         if delta <= 1e-14:
             delta = max(1e-8, 1e-8 * res.norm1)
-        accepted = False
         for t in range(_MAX_SHIFT_TRIES):
             if t == 0:
                 sigma = 0.0
@@ -545,24 +538,14 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
                     continue
                 v = shifted[:, 0]
             cand = _point(problem, linalg.fix_phase(v))
-            cand_res = None
             if cand.value < p.value - _SHIFT_SLACK:
-                ok = True
-            elif cand.smooth and cand.value <= p.value + _EPS_FLOOR * max(1.0, abs(p.value)):
-                cand_res = _point_residual(problem, cand)
-                ok = cand_res.rel < res.rel - _SHIFT_SLACK
-            else:
-                ok = False
-            if ok:
                 shifts.append(float(sigma))
-                # a candidate with a residual is smooth, so the nudge keeps it
                 p = _nudge_differentiable(problem, cand, rng)
-                res = cand_res if cand_res is not None else _point_residual(problem, p)
+                res = _point_residual(problem, p)
                 if p.value < best.value:
                     best = p
-                accepted = True
                 break
-        if not accepted:
+        else:  # no shift gave a descent
             break
     return _solution_at(
         problem,
@@ -571,20 +554,12 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
         shifts=shifts,
         source=SOURCE_SCF,
         converged=converged,
-        tol=tol,
     )
 
 
-class NondiffCandidate(NamedTuple):
-    """A closed-form candidate where quotient ``which`` degenerates to 0/0."""
-
-    x: np.ndarray
-    value: float
-    which: int
-
-
-def nondiff_candidates(problem: Srq2Problem) -> list[NondiffCandidate]:
-    """Candidate minimizers on the set where one quotient is 0/0.
+def nondiff_candidates(problem: Srq2Problem) -> list[Srq2Solution]:
+    """Candidate minimizers on the set where one quotient is 0/0, each an
+    Srq2Solution with source SOURCE_NONDIFF_1 or SOURCE_NONDIFF_2.
 
     For quotient i the candidates live in the null space of
     Q_i = A_i + (alpha_i I + beta_i A3); restricted there the objective is
@@ -597,12 +572,12 @@ def nondiff_candidates(problem: Srq2Problem) -> list[NondiffCandidate]:
         raise CommonNullViolationError(
             "the two denominator matrices share a common null vector"
         )
-    out: list[NondiffCandidate] = []
+    out: list[Srq2Solution] = []
     specs = (
-        (1, problem.a1, problem.b1, problem.a2, problem.alpha2, problem.beta2),
-        (2, problem.a2, problem.b2, problem.a1, problem.alpha1, problem.beta1),
+        (SOURCE_NONDIFF_1, problem.a1, problem.b1, problem.a2, problem.alpha2, problem.beta2),
+        (SOURCE_NONDIFF_2, problem.a2, problem.b2, problem.a1, problem.alpha1, problem.beta1),
     )
-    for which, num, den, other, alpha_o, beta_o in specs:
+    for source, num, den, other, alpha_o, beta_o in specs:
         q = num + den
         basis = linalg.psd_nullspace(q)
         k = basis.shape[1]
@@ -614,11 +589,11 @@ def nondiff_candidates(problem: Srq2Problem) -> list[NondiffCandidate]:
             _, v = linalg.definite_pencil_smallest(m, nmat)
         except linalg.NotPositiveDefiniteError as exc:
             raise RuntimeError(
-                f"restricted denominator pencil for quotient {which} is not "
+                f"restricted denominator pencil of the {source} candidates is not "
                 "definite although the denominators have no common null vector"
             ) from exc
         x = linalg.fix_phase(linalg.normalize(basis @ v))
-        out.append(NondiffCandidate(x=x, value=objective(problem, x), which=which))
+        out.append(_solution_at(problem, x, iterations=0, shifts=(), source=source, converged=True))
     return out
 
 
@@ -670,10 +645,12 @@ def solve(
     degenerate 0/0 candidates, returning the lowest objective value.  Ties
     break on the phase-fixed minimizer entries, so the result is
     deterministic for a given seed."""
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
     rng = np.random.default_rng(seed)
     n = problem.n
     starts: list[np.ndarray] = []
-    for _ in range(max(0, int(restarts))):
+    for _ in range(int(restarts)):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if not np.linalg.norm(z):
             continue
@@ -685,19 +662,7 @@ def solve(
 
     candidates: list[Srq2Solution] = _parallel.parallel_map(run, starts)
     if problem.common_null_ok:
-        for cand in nondiff_candidates(problem):
-            source = SOURCE_NONDIFF_1 if cand.which == 1 else SOURCE_NONDIFF_2
-            candidates.append(
-                _solution_at(
-                    problem,
-                    cand.x,
-                    iterations=0,
-                    shifts=(),
-                    source=source,
-                    converged=True,
-                    tol=tol,
-                )
-            )
+        candidates.extend(nondiff_candidates(problem))
     if not candidates:
         raise RuntimeError("no candidate solutions were produced")
     return _pick_best(candidates)

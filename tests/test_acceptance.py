@@ -282,7 +282,7 @@ def test_criterion_06_reconstruction_attains_eta(capsys, corpus, pattern_results
             )
         s_mat = corpus[idx].system.evaluate(lam)
         smin = linalg.smallest_singular_value(
-            delta.subtract_from(corpus[idx].system).evaluate(lam)
+            (corpus[idx].system - delta).evaluate(lam)
         )
         if not smin <= 1e-8 * max(1.0, linalg.norm1(s_mat)):
             failures.append(

@@ -430,6 +430,27 @@ def test_jnr_rejects_nonpositive_samples(tmp_path, capsys, samples):
     assert "error: samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "jnr", "oracle-check"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--restarts", "-3"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan")],
+)
+def test_solving_commands_reject_invalid_solver_flags(tmp_path, capsys, command, flag, value):
+    out_path = tmp_path / "out.csv"
+    if command == "compute":
+        sys_path = write_system(tmp_path, random_system(np.random.default_rng(0), 2, 2, 1))
+        args = ["compute", "--system", str(sys_path), "--lambda", "0.3+0.2i"]
+        args += ["--out", str(out_path)]
+    elif command == "jnr":
+        doc_path = write_quotient_doc(tmp_path)
+        args = ["jnr", "--system", str(doc_path), "--samples", "4", "--out", str(out_path)]
+    else:
+        args = ["oracle-check", "--trials", "1", "--budget", "50"]
+    assert cli.main([*args, flag, value]) == 1
+    assert f"error: {flag[2:]} must be" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle-check.
 

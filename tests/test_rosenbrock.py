@@ -84,6 +84,17 @@ def test_transpose_involution_and_evaluation():
         assert np.allclose(c1, c2)
 
 
+def test_subtraction_requires_equal_shapes():
+    rng = np.random.default_rng(5)
+    system = random_system(rng, r=2, n=3, d=2)
+    diff = system - random_system(rng, r=2, n=3, d=2)
+    assert (diff.r, diff.n, diff.d) == (2, 3, 2)
+    # broadcasting a 1 x 1 A, or zip dropping coefficients, would hide these
+    for r, n, d in ((1, 3, 2), (2, 3, 0)):
+        with pytest.raises(ValueError, match="cannot subtract"):
+            system - random_system(rng, r=r, n=n, d=d)
+
+
 def test_blocks_are_read_only():
     system = RosenbrockSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]], poly_coeffs=([[1.0]],))
     with pytest.raises(ValueError):

@@ -174,7 +174,7 @@ def test_nondiff_candidates_closed_form():
     cands = srq2.nondiff_candidates(problem)
     assert len(cands) == 1
     cand = cands[0]
-    assert cand.which == 1
+    assert cand.source == srq2.SOURCE_NONDIFF_1
     assert cand.value == pytest.approx(1.0, abs=1e-12)
     assert abs(cand.x[0]) == pytest.approx(1.0, abs=1e-10)
 
@@ -240,6 +240,11 @@ def test_oracle_deterministic():
     assert srq2.brute_force_oracle(problem, 500, seed=7) == srq2.brute_force_oracle(
         problem, 500, seed=7
     )
+
+
+def test_solve_rejects_negative_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        srq2.solve(example_problem(), restarts=-3)
 
 
 def test_oracle_rejects_negative_polish_settings():
@@ -556,7 +561,6 @@ def _reference_scf(problem, x0, *, max_iter=400, tol=1e-10, max_shift_tries=40):
         shifts_used=tuple(shifts),
         source=srq2.SOURCE_SCF,
         converged=converged,
-        tol=tol,
     )
 
 
