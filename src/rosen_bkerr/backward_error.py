@@ -12,9 +12,10 @@ norm making lambda an exact eigenvalue.  Every pattern is computable:
 * C, AC, BP, ACP follow by transposing the system and renaming blocks.
 
 ``ROUTES`` is the one table of that pattern-to-route map, read by every
-function here.  ``backward_error`` follows the pattern's route and
-attaches an independently recomputed certificate, which carries the
-minimal perturbation it reconstructs.
+function here; ``srq2_problem_for`` and the pencil data assemble a
+route's matrices on the system it solves on.  ``backward_error`` follows
+the pattern's route and attaches an independently recomputed
+certificate, which carries the minimal perturbation it reconstructs.
 """
 
 from __future__ import annotations
@@ -207,10 +208,14 @@ class BackwardErrorResult:
     method: str
     pattern: PerturbationPattern
     lam: complex
-    converged: bool = True
     solver: srq2.Srq2Solution | None = None
     infeasibility_witness: str | None = None
     certificate: Certificate | None = None
+
+    @property
+    def converged(self) -> bool:
+        """True unless an SRQ2 solve stopped short or found no finite value."""
+        return self.solver is None or (self.solver.converged and math.isfinite(self.eta))
 
     @property
     def transposed(self) -> bool:
@@ -225,17 +230,22 @@ class BackwardErrorResult:
         return None if self.certificate is None else self.certificate.perturbation
 
 
-def srq2_problem_for(pattern, em: ErrorMatrices) -> srq2.Srq2Problem:
-    """Quotient data for the patterns that reduce to the two-quotient
-    minimization on the untransposed system (A3 is always the
-    trailing-coordinate projector)."""
+def _error_matrices(route: Route, system: RosenbrockSystem, lam) -> ErrorMatrices:
+    """Error matrices of the system the route solves on: the system itself,
+    or its transpose for a transposed route."""
+    return assemble_error_matrices(system.transpose() if route.transposed else system, lam)
+
+
+def srq2_problem_for(system: RosenbrockSystem, lam, pattern) -> srq2.Srq2Problem:
+    """Quotient data of a pattern that reduces to the two-quotient
+    minimization, assembled on the system its route solves on: the
+    transpose for ACP, whose minimizers belong to the transposed system.
+    A3 is always the trailing-coordinate projector."""
     letters = _as_pattern(pattern).letters
     route = ROUTES[letters]
-    if route.kind != METHOD_SRQ2 or route.transposed:
-        raise ValueError(
-            f"pattern {letters} does not reduce to a two-quotient minimization "
-            "on the untransposed system"
-        )
+    if route.kind != METHOD_SRQ2:
+        raise ValueError(f"pattern {letters} does not reduce to a two-quotient minimization")
+    em = _error_matrices(route, system, lam)
     a2 = em.g2 / em.gamma if route.over_gamma else em.g2
     return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
 
@@ -245,10 +255,11 @@ def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def _pencil_data(route: Route, em: ErrorMatrices):
+def _pencil_data(route: Route, system: RosenbrockSystem, lam):
     """Basis of the null space of the Gram matrix of the block row the
     pattern freezes, the pencil (M, N) restricted to it, the name of N, and
     the factor that turns the pencil's eigenvalue into eta^2."""
+    em = _error_matrices(route, system, lam)
     if "A" in route.inner or "B" in route.inner:  # C and P are frozen
         basis, numerator, v = linalg.psd_nullspace(em.g2), em.g1, "V"
     else:  # A and B are frozen
@@ -262,9 +273,9 @@ def _pencil_data(route: Route, em: ErrorMatrices):
     return basis, _restrict(numerator, basis), nmat, f"{v}*{route.rhs}{v}", scale
 
 
-def _solve_pencil(route: Route, em: ErrorMatrices):
+def _solve_pencil(route: Route, system: RosenbrockSystem, lam):
     """(squared value, minimizer, infeasibility witness) of a pencil route."""
-    basis, m, nmat, rhs_name, scale = _pencil_data(route, em)
+    basis, m, nmat, rhs_name, scale = _pencil_data(route, system, lam)
     k = basis.shape[1]
     if k == 0:
         return math.inf, None, "the feasibility null space is trivial"
@@ -301,23 +312,20 @@ def backward_error(
     route = ROUTES[pattern.letters]
     s_mat = system.evaluate(lam)
     solver = witness = None
-    converged = True
     if linalg.smallest_singular_value(s_mat) <= _ZERO_GATE * max(1.0, linalg.norm1(s_mat)):
         method = METHOD_ZERO_EIGENVALUE
         value, x = 0.0, linalg.fix_phase(np.linalg.svd(s_mat)[2][-1].conj())
     else:
         method = f"transposed_{route.kind}" if route.transposed else route.kind
-        work = system.transpose() if route.transposed else system
-        em = assemble_error_matrices(work, lam)
         if route.kind == METHOD_PENCIL:
-            value, x, witness = _solve_pencil(route, em)
+            value, x, witness = _solve_pencil(route, system, lam)
         else:
             solver = srq2.solve(
-                srq2_problem_for(route.inner, em), restarts=restarts, seed=seed, tol=tol
+                srq2_problem_for(system, lam, pattern), restarts=restarts, seed=seed, tol=tol
             )
-            value, x, converged = solver.value, solver.x, solver.converged
+            value, x = solver.value, solver.x
             if not math.isfinite(value):
-                value, x, converged = math.inf, None, False
+                value, x = math.inf, None
                 witness = "quotient-sum objective was unbounded at every candidate"
         if witness is not None and route.transposed:
             witness = f"transposed system: {witness}"
@@ -327,12 +335,11 @@ def backward_error(
         method=method,
         pattern=pattern,
         lam=lam,
-        converged=converged,
         solver=solver,
         infeasibility_witness=witness,
     )
     if witness is None:
-        result = replace(result, certificate=certify(system, lam, pattern, result))
+        result = replace(result, certificate=certify(system, result))
     return result
 
 
@@ -397,14 +404,15 @@ def _check(name: str, value: float, bound: float) -> CertificateCheck:
     return CertificateCheck(name=name, value=value, bound=bound, passed=value <= bound)
 
 
-def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult) -> Certificate:
-    """Re-derive every certification quantity from the stored (eta, x):
-    rebuild the pattern perturbation at x, compare its aggregate norm with
-    eta, measure the smallest singular value of the perturbed evaluation,
-    and recompute the stationarity or pencil residual for the route the
-    pattern takes.  Passes only when every check meets its bound."""
-    pattern = _as_pattern(pattern)
-    lam = complex(lam)
+def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificate:
+    """Re-derive every certification quantity from the result's stored
+    (eta, x) at its own shift and pattern: rebuild the pattern perturbation
+    at x, compare its aggregate norm with eta, measure the smallest singular
+    value of the perturbed evaluation, and recompute the stationarity or
+    pencil residual for the route the pattern takes.  Passes only when every
+    check meets its bound."""
+    pattern = _as_pattern(result.pattern)
+    lam = complex(result.lam)
     s_mat = system.evaluate(lam)
     smin_bound = _RESIDUAL_FACTOR * max(1.0, linalg.norm1(s_mat))
 
@@ -434,12 +442,11 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
     ]
 
     route = ROUTES[pattern.letters]
-    em = assemble_error_matrices(system.transpose() if route.transposed else system, lam)
     x = np.asarray(result.x, dtype=np.complex128).ravel()
     nepv_residual = pencil_residual = None
     if route.kind == METHOD_SRQ2:
         try:
-            info = srq2.nepv_residuals(srq2_problem_for(route.inner, em), x)
+            info = srq2.nepv_residuals(srq2_problem_for(system, lam, pattern), x)
         except srq2.NondifferentiablePointError:
             info = None
         if info is not None:
@@ -448,7 +455,7 @@ def certify(system: RosenbrockSystem, lam, pattern, result: BackwardErrorResult)
                 _check("stationarity residual (relative)", nepv_residual, _NEPV_CERT_TOL)
             )
     else:
-        basis, m, nmat, _, scale = _pencil_data(route, em)
+        basis, m, nmat, _, scale = _pencil_data(route, system, lam)
         if basis.shape[1] > 0:
             y = basis.conj().T @ x
             mu = eta**2 / scale

@@ -18,17 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import jnr, linalg, srq2
+from . import jnr, srq2
 from .backward_error import (
-    METHOD_SRQ2,
-    ROUTES,
     BackwardErrorResult,
     PerturbationPattern,
     backward_error,
     certify,
     srq2_problem_for,
 )
-from .rosenbrock import RosenbrockSystem, assemble_error_matrices
+from .rosenbrock import RosenbrockSystem
 
 SCHEMA_VERSION = "1"
 
@@ -146,10 +144,6 @@ def system_to_document(system: RosenbrockSystem) -> dict:
         "C": _matrix_to_nested(system.C),
         "polyCoeffs": [_matrix_to_nested(c) for c in system.poly_coeffs],
     }
-
-
-def load_srq2_document(path) -> srq2.Srq2Problem:
-    return _srq2_from_document(_read_object(path), str(path))
 
 
 def _srq2_from_document(doc: dict, where: str) -> srq2.Srq2Problem:
@@ -307,14 +301,7 @@ def cmd_jnr(args) -> int:
             raise CliInputError("--lambda is required with a system document")
         lam = parse_complex_literal(args.lam)
         try:
-            route = ROUTES[PerturbationPattern.from_string(args.pattern).letters]
-            if route.kind != METHOD_SRQ2:
-                raise ValueError(
-                    f"pattern {args.pattern} does not reduce to a two-quotient minimization"
-                )
-            # a transposed pattern's quotient data lives on the transposed system
-            work = system.transpose() if route.transposed else system
-            problem = srq2_problem_for(route.inner, assemble_error_matrices(work, lam))
+            problem = srq2_problem_for(system, lam, args.pattern)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
     matrices = (problem.a1, problem.a2, problem.a3)
@@ -344,12 +331,8 @@ def cmd_jnr(args) -> int:
         "boundaryObjectiveGap": boundary_min - solution.value,
         "solver": _solver_document(solution),
     }
-    if args.out is not None:
-        Path(str(args.out) + ".meta.json").write_text(
-            serialize_document(sidecar), encoding="utf-8", newline=""
-        )
-    else:
-        sys.stdout.write(serialize_document(sidecar))
+    meta_path = None if args.out is None else f"{args.out}.meta.json"
+    _write_output(serialize_document(sidecar), meta_path)
     return EXIT_OK
 
 
@@ -361,8 +344,7 @@ def cmd_certify(args) -> int:
         pattern = PerturbationPattern.from_string(str(doc.get("pattern", "")))
     except ValueError as exc:
         raise CliInputError(f"{where}: {exc}") from exc
-    lam_field = doc.get("lambda")
-    lam = _pair_to_complex(lam_field, f"{where}: lambda")
+    lam = _pair_to_complex(doc.get("lambda"), f"{where}: lambda")
     eta_field = doc.get("eta")
     if eta_field == "inf":
         raise CliInputError(f"{where}: cannot re-certify an infinite backward error")
@@ -379,7 +361,7 @@ def cmd_certify(args) -> int:
         pattern=pattern,
         lam=lam,
     )
-    cert = certify(system, lam, pattern, stored)
+    cert = certify(system, stored)
     header = f"{'check':<42} {'value':>14} {'bound':>14} verdict"
     print(header)
     print("-" * len(header))

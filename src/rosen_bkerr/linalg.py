@@ -53,8 +53,9 @@ class InfeasibleMapError(ValueError):
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a fresh finite complex128 2-d array."""
-    arr = np.array(a, dtype=np.complex128, copy=True)
+    """Validate and return ``a`` as a fresh finite complex128 2-d array in
+    C order."""
+    arr = np.array(a, dtype=np.complex128, copy=True, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -107,12 +107,7 @@ class RosenbrockSystem:
     def transpose(self) -> "RosenbrockSystem":
         """The system whose evaluation is S(z)^T: swaps B and C transposed,
         transposes A and every coefficient.  An involution."""
-        return RosenbrockSystem(
-            self.A.T.copy(),
-            self.C.T.copy(),
-            self.B.T.copy(),
-            tuple(m.T.copy() for m in self.poly_coeffs),
-        )
+        return RosenbrockSystem(self.A.T, self.C.T, self.B.T, tuple(m.T for m in self.poly_coeffs))
 
     def __sub__(self, other: "RosenbrockSystem") -> "RosenbrockSystem":
         """Blockwise difference of two systems of the same (r, n, d)."""

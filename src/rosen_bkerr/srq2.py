@@ -28,7 +28,7 @@ the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -88,10 +88,10 @@ class CommonNullViolationError(ValueError):
 class Srq2Problem:
     """Validated quotient data.
 
-    Construction symmetrizes the three matrices, verifies they and both
-    denominator matrices alpha_i I + beta_i A3 are positive semidefinite,
-    and records in ``common_null_ok`` whether the denominators have no
-    common null vector (the sum of the two is positive definite).
+    Construction symmetrizes the three matrices and verifies they and both
+    denominator matrices alpha_i I + beta_i A3 are positive semidefinite;
+    ``common_null_ok`` says whether the denominators have no common null
+    vector (the sum of the two is positive definite).
     """
 
     a1: np.ndarray
@@ -101,7 +101,6 @@ class Srq2Problem:
     beta1: float
     alpha2: float
     beta2: float
-    common_null_ok: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = {}
@@ -117,23 +116,18 @@ class Srq2Problem:
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
+        mats["denominator matrix 1"], mats["denominator matrix 2"] = self.b1, self.b2
         for name, m in mats.items():
             wmin = float(np.linalg.eigvalsh(m)[0])
             if wmin < -_PSD_TOL * max(1.0, linalg.norm1(m)):
                 raise ValueError(
                     f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
                 )
-        for i, b in enumerate((self.b1, self.b2), start=1):
-            wmin = float(np.linalg.eigvalsh(b)[0])
-            if wmin < -_PSD_TOL * max(1.0, linalg.norm1(b)):
-                raise ValueError(
-                    f"denominator matrix {i} is not positive semidefinite "
-                    f"(smallest eigenvalue {wmin:.3e})"
-                )
+
+    @cached_property
+    def common_null_ok(self) -> bool:
         s = self.b1 + self.b2
-        wmin = float(np.linalg.eigvalsh(s)[0])
-        common = wmin > _PSD_TOL * max(1.0, linalg.norm1(s))
-        object.__setattr__(self, "common_null_ok", bool(common))
+        return bool(float(np.linalg.eigvalsh(s)[0]) > _PSD_TOL * max(1.0, linalg.norm1(s)))
 
     @property
     def n(self) -> int:

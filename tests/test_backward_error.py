@@ -81,13 +81,13 @@ def test_srq2_problem_for_full_pattern_weights():
     rng = np.random.default_rng(1)
     system = random_system(rng, r=2, n=2, d=1)
     em = assemble_error_matrices(system, 2.0)
-    problem = srq2_problem_for("ABCP", em)
+    problem = srq2_problem_for(system, 2.0, "ABCP")
     assert problem.alpha1 == 1.0 and problem.beta1 == 0.0
     assert problem.alpha2 == 1.0
     assert problem.beta2 == pytest.approx(em.gamma - 1.0)
     assert np.allclose(problem.a3, em.h2)
     with pytest.raises(ValueError):
-        srq2_problem_for("A", em)
+        srq2_problem_for(system, 2.0, "A")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,22 @@ def test_certify_rejects_corrupted_minimizer():
         rng.standard_normal(4) + 1j * rng.standard_normal(4)
     )
     tampered = replace(result, x=bad)
-    cert = certify(system, 0.3 + 0.1j, "ABCP", tampered)
+    cert = certify(system, tampered)
     assert not cert.passed
+
+
+def test_certify_reports_an_infeasible_minimizer():
+    rng = np.random.default_rng(9)
+    system = random_system(rng, r=2, n=2, d=1)
+    result = backward_error(system, 0.7, "A")
+    assert result.certificate.passed
+    # a random x leaves the frozen second block row unresolved for pattern A
+    bad = linalg.normalize(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    cert = certify(system, replace(result, x=bad))
+    assert cert.failure is not None
+    assert not cert.passed
+    assert cert.perturbation is None
+    assert math.isnan(cert.delta_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +281,19 @@ def test_transposed_infeasibility_witness_is_labelled():
     assert result.eta == math.inf
     result_c = backward_error(system, 0.0, "C")
     assert math.isfinite(result_c.eta) or result_c.infeasibility_witness
+
+
+def test_transposed_pencil_witness_names_the_transpose():
+    # the transpose's second block row is [B^T, P] = [0, I], whose null
+    # vectors have no trailing part, so pattern C (pattern B on the
+    # transpose) has V*H2V = 0
+    system = RosenbrockSystem(
+        A=[[5.0]], B=np.zeros((1, 2)), C=[[1.0], [2.0]], poly_coeffs=(np.eye(2),)
+    )
+    result = backward_error(system, 0.0, "C")
+    assert result.method == "transposed_pencil"
+    assert result.eta == math.inf
+    assert result.infeasibility_witness == "transposed system: V*H2V = 0"
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +405,12 @@ def test_route_scalar_pairs_match_random_problem(letters):
     route = ROUTES[letters]
     rng = np.random.default_rng(22)
     system = random_system(rng, r=2, n=2, d=1)
-    em = assemble_error_matrices(system, 1.5)  # gamma = 1 + 1.5^2 = 3.25
+    lam = 1.5  # gamma = 1 + 1.5^2 = 3.25
     if route.kind != "srq2":
         with pytest.raises(ValueError):
-            srq2_problem_for(route.inner, em)
+            srq2_problem_for(system, lam, letters)
         return
-    problem = srq2_problem_for(route.inner, em)
+    problem = srq2_problem_for(system, lam, letters)
     sampled = srq2.random_problem(4, _FixedUniform(rng, 2.25), route.inner)
     pairs = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
     assert pairs == (sampled.alpha1, sampled.beta1, sampled.alpha2, sampled.beta2)

@@ -8,7 +8,7 @@ import pytest
 
 from rosen_bkerr import cli, jnr, srq2
 from rosen_bkerr.backward_error import srq2_problem_for
-from rosen_bkerr.rosenbrock import RosenbrockSystem, assemble_error_matrices
+from rosen_bkerr.rosenbrock import RosenbrockSystem
 from support import (
     EXAMPLE_A1,
     EXAMPLE_A2,
@@ -194,6 +194,26 @@ def test_certify_detects_tampering(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "FAIL" in captured.out
+
+
+def test_certify_reports_failed_reconstruction(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    system = random_system(rng, r=2, n=2, d=1)
+    sys_path = write_system(tmp_path, system)
+    out_path = tmp_path / "result.json"
+    args = ["--system", str(sys_path), "--lambda", "0.7+0.0i", "--pattern", "A"]
+    assert cli.main(["compute", *args, "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    # a random x leaves the frozen second block row unresolved for pattern A
+    bad = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    doc["x"] = [[float(v.real), float(v.imag)] for v in bad / np.linalg.norm(bad)]
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main(["certify", "--system", str(sys_path), "--result", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "reconstruction failed:" in out
+    assert "certificate: FAIL" in out
 
 
 def test_compute_pencil_pattern_writes_no_solver_block(tmp_path):
@@ -401,9 +421,7 @@ def test_jnr_transposed_two_quotient_pattern(tmp_path, monkeypatch):
     assert lines[0] == "vx,vy,vz,y1,y2,y3,support"
     assert len(lines) == 7
     meta = json.loads((tmp_path / "acp.csv.meta.json").read_text())
-    problem = srq2_problem_for(
-        "ABP", assemble_error_matrices(system.transpose(), complex(0.3, 0.2))
-    )
+    problem = srq2_problem_for(system, 0.3 + 0.2j, "ACP")
     expected = srq2.solve(problem, restarts=3, seed=4, tol=1e-9)
     assert meta["objectiveAtSolution"] == expected.value
 
