@@ -277,8 +277,6 @@ def _solve_pencil(route: Route, system: RosenbrockSystem, lam):
     """(squared value, minimizer, infeasibility witness) of a pencil route."""
     basis, m, nmat, rhs_name, scale = _pencil_data(route, system, lam)
     k = basis.shape[1]
-    if k == 0:
-        return math.inf, None, "the feasibility null space is trivial"
     if route.rhs is not None and linalg.norm1(nmat) <= _RHS_ZERO_TOL * max(1.0, float(k)):
         return math.inf, None, f"{rhs_name} = 0"
     if route.rhs is None:
@@ -456,11 +454,10 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
             )
     else:
         basis, m, nmat, _, scale = _pencil_data(route, system, lam)
-        if basis.shape[1] > 0:
-            y = basis.conj().T @ x
-            mu = eta**2 / scale
-            pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))
-            bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + mu * linalg.norm1(nmat))
-            checks.append(_check("pencil eigenpair residual", pencil_residual, bound))
+        y = basis.conj().T @ x
+        mu = eta**2 / scale
+        pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))
+        bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + mu * linalg.norm1(nmat))
+        checks.append(_check("pencil eigenpair residual", pencil_residual, bound))
 
     return Certificate(tuple(checks), delta, smin, nepv_residual, pencil_residual)

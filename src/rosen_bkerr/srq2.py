@@ -361,25 +361,6 @@ def _point_residual(problem, p: _Point) -> _Residual:
     return _residual(_stationarity_matrix(problem, p), p.x)
 
 
-def _nudge_differentiable(problem, p: _Point, rng, scale=1e-8) -> _Point:
-    """Move p off the measure-zero set where a denominator vanishes, by
-    adding a small random tangent and renormalizing."""
-    for attempt in range(40):
-        if p.smooth:
-            return p
-        x = p.x
-        d = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-        d = d - x * np.vdot(x, d)
-        nd = float(np.linalg.norm(d))
-        if nd == 0.0:
-            continue
-        step = scale * 2.0**attempt
-        p = _point(problem, linalg.fix_phase(linalg.normalize(x + step * (d / nd))))
-    raise NondifferentiablePointError(
-        "could not find a nearby differentiable starting point"
-    )
-
-
 def _real(u: np.ndarray) -> np.ndarray:
     """Real form [Re u; Im u] of a complex vector or of each column."""
     return np.concatenate((u.real, u.imag))
@@ -479,19 +460,25 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     the level-shifted sweeps from the same iterate.
 
     Convergence is declared when the relative fixed-point residual
-    || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to ``tol``.
-    On the sweep cap (400) or shift-search exhaustion (40 shifts tried in
-    one sweep) the best iterate seen is returned flagged
-    ``converged=False``.  ``iterations`` counts sweeps and Newton steps;
-    ``shifts_used`` holds the shifts of accepted sweeps only.
+    || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to ``tol``.  A
+    run also stops, flagged ``converged=False``, on the sweep cap (400), on
+    shift-search exhaustion (40 shifts tried in one sweep), or when a
+    sweep's descent lands on the 0/0 set, where H(x) is undefined and the
+    closed-form candidates of ``nondiff_candidates`` take over; a start on
+    that set is returned as it is, after 0 iterations.  The last iterate is
+    returned: sweeps strictly lower the objective and Newton steps raise it
+    by floating-point noise at most.  ``iterations`` counts sweeps and
+    Newton steps; ``shifts_used`` holds the shifts of accepted sweeps only.
     """
-    rng = np.random.default_rng(0x5CF5EED)
     x = linalg.fix_phase(linalg.normalize(np.asarray(x0, dtype=np.complex128).ravel()))
     if x.size != problem.n:
         raise ValueError(f"x0 must have length {problem.n}")
-    p = _nudge_differentiable(problem, _point(problem, x), rng)
+    p = _point(problem, x)
+    if not p.smooth:
+        return _solution_at(
+            problem, p.x, iterations=0, shifts=(), source=SOURCE_SCF, converged=False
+        )
     res = _point_residual(problem, p)
-    best = p
     shifts: list[float] = []
     newton = False
     converged = False
@@ -511,8 +498,6 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
         if step is not None:
             newton = True
             p, res = step
-            if p.value < best.value:
-                best = p
             continue
         if newton:
             newton = False
@@ -533,21 +518,16 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
                 v = shifted[:, 0]
             cand = _point(problem, linalg.fix_phase(v))
             if cand.value < p.value - _SHIFT_SLACK:
-                shifts.append(float(sigma))
-                p = _nudge_differentiable(problem, cand, rng)
-                res = _point_residual(problem, p)
-                if p.value < best.value:
-                    best = p
                 break
         else:  # no shift gave a descent
             break
+        if not cand.smooth:  # a descent onto the 0/0 set
+            break
+        shifts.append(float(sigma))
+        p = cand
+        res = _point_residual(problem, p)
     return _solution_at(
-        problem,
-        p.x if converged else best.x,
-        iterations=k,
-        shifts=shifts,
-        source=SOURCE_SCF,
-        converged=converged,
+        problem, p.x, iterations=k, shifts=shifts, source=SOURCE_SCF, converged=converged
     )
 
 

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used or re-exported."""
+"""Every module-level import of the package is used or re-exported, and every
+private module-level function or class is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,27 @@ def test_module_imports_are_used(path):
         if name not in used and name not in _exported(tree)
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_private_definitions_are_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    referenced = set().union(*map(_referenced, trees.values()))
+    orphans = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not orphans, f"private definitions with no reference in the package: {orphans}"

@@ -602,3 +602,55 @@ def test_scf_engine_never_worse_than_level_shifted_reference(monkeypatch):
                     assert sol.converged and sol.iterations < 400, (k, sol.rel_residual)
             k += 1
     assert on_degenerate_set == 1
+
+
+def _reference_corpus_instance(seed, index):
+    """Instance ``index`` of the corpus of the reference test above, drawn
+    from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    k = 0
+    for n in (2, 3, 4, 8, 12):
+        for template in srq2.PATTERN_TEMPLATES:
+            problem = srq2.random_problem(n, rng, template, rank_deficient=(k % 3 == 2))
+            if k == index:
+                return problem
+            k += 1
+    raise IndexError(index)
+
+
+@pytest.mark.parametrize("seed, index", [(5, 29), (11, 14), (13, 32), (35, 14)])
+def test_minimum_on_zero_over_zero_set_is_not_negative(seed, index):
+    # rank-deficient instances whose minimum 0 lies on the 0/0 set; a sum of
+    # PSD quotients is never negative beyond rounding
+    problem = _reference_corpus_instance(seed, index)
+    assert srq2.solve(problem, restarts=5, seed=index).value >= -1e-12
+
+
+def test_runs_stop_on_zero_over_zero_set(monkeypatch):
+    # an ACP instance (n = 12) whose minimum is a degenerate candidate: the
+    # runs stop where a sweep reaches the 0/0 set instead of sweeping on
+    problem = _reference_corpus_instance(17, 32)
+    engine = srq2.scf_solve
+    runs = []
+
+    def recorded(*args, **kwargs):
+        sol = engine(*args, **kwargs)
+        runs.append(sol)
+        return sol
+
+    monkeypatch.setattr(srq2, "scf_solve", recorded)
+    value = srq2.solve(problem, restarts=5, seed=32).value
+    assert len(runs) >= 5
+    assert all(sol.iterations <= 5 for sol in runs), [sol.iterations for sol in runs]
+    assert value == min(c.value for c in srq2.nondiff_candidates(problem))
+
+
+def test_scf_start_on_zero_over_zero_set_is_returned_as_is():
+    # at e2 the first quotient is 0/0 and the second is 1
+    problem = srq2.Srq2Problem(
+        np.diag([1.0, 0.0]), np.eye(2), np.diag([1.0, 0.0]), 0.0, 1.0, 1.0, 0.0
+    )
+    sol = srq2.scf_solve(problem, [0.0, 1.0])
+    assert sol.value == 1.0
+    assert not sol.converged
+    assert sol.iterations == 0
