@@ -65,9 +65,19 @@ _SHIFT_SLACK = 1e-14
 # 1e-1, most starts next to the spurious stationary point of the reference
 # problem end on it; with 1e-3, none do.
 _NEWTON_SWITCH = 1e-3
+# A stall: that residual is above 0.75 times its value 100 consecutive
+# sweeps earlier, a pace at which sweeps need thousands more to converge.  A
+# stalled run switches to Newton steps once the residual is at most 1e-2.
+_STALL_SWEEPS = 100
+_STALL_RATIO = 0.75
+_STALL_SWITCH = 1e-2
 # Caps of ``scf_solve``: sweeps per run, and level shifts tried per sweep.
 _MAX_SWEEPS = 400
 _MAX_SHIFT_TRIES = 40
+# Root iteration of ``_downdated_bottom``: a step cap, and the relative step
+# after which the iteration stops.
+_MAX_SECULAR_STEPS = 50
+_SECULAR_RTOL = 1e-12
 
 SOURCE_SCF = "scf"
 SOURCE_NONDIFF_1 = "nondiff1"
@@ -103,31 +113,48 @@ class Srq2Problem:
     beta2: float
 
     def __post_init__(self):
-        mats = {}
         for name in ("a1", "a2", "a3"):
             h = linalg.hermitian_part(getattr(self, name), name)
             h.setflags(write=False)
             object.__setattr__(self, name, h)
-            mats[name] = h
-        if not (mats["a1"].shape == mats["a2"].shape == mats["a3"].shape):
+        if not (self.a1.shape == self.a2.shape == self.a3.shape):
             raise ValueError("a1, a2, a3 must share one shape")
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             val = float(getattr(self, name))
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
-        mats["denominator matrix 1"], mats["denominator matrix 2"] = self.b1, self.b2
-        for name, m in mats.items():
-            wmin = float(np.linalg.eigvalsh(m)[0])
+        # one eigvalsh of A3 serves A3 and both denominator matrices
+        checks = (
+            ("a1", self.a1, float(np.linalg.eigvalsh(self.a1)[0])),
+            ("a2", self.a2, float(np.linalg.eigvalsh(self.a2)[0])),
+            ("a3", self.a3, self._a3_range[0]),
+            ("denominator matrix 1", self.b1, self._smallest_eig(self.alpha1, self.beta1)),
+            ("denominator matrix 2", self.b2, self._smallest_eig(self.alpha2, self.beta2)),
+        )
+        for name, m, wmin in checks:
             if wmin < -_PSD_TOL * max(1.0, linalg.norm1(m)):
                 raise ValueError(
                     f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
                 )
 
     @cached_property
+    def _a3_range(self) -> tuple[float, float]:
+        """The smallest and largest eigenvalues of A3."""
+        w = np.linalg.eigvalsh(self.a3)
+        return float(w[0]), float(w[-1])
+
+    def _smallest_eig(self, alpha: float, beta: float) -> float:
+        """Smallest eigenvalue of alpha I + beta A3, whose eigenvalues are
+        alpha + beta lambda_i(A3)."""
+        lo, hi = self._a3_range
+        return alpha + beta * (lo if beta >= 0.0 else hi)
+
+    @cached_property
     def common_null_ok(self) -> bool:
         s = self.b1 + self.b2
-        return bool(float(np.linalg.eigvalsh(s)[0]) > _PSD_TOL * max(1.0, linalg.norm1(s)))
+        wmin = self._smallest_eig(self.alpha1 + self.alpha2, self.beta1 + self.beta2)
+        return bool(wmin > _PSD_TOL * max(1.0, linalg.norm1(s)))
 
     @property
     def n(self) -> int:
@@ -437,6 +464,63 @@ def _newton_step(problem, p: _Point, res: _Residual):
     return cand, cand_res
 
 
+def _downdated_bottom(w: np.ndarray, vecs: np.ndarray, z: np.ndarray, sigma: float) -> np.ndarray:
+    """Unit bottom eigenvector of H - sigma x x*, sigma > 0, from the
+    eigendecomposition H = V diag(w) V* (``w`` ascending, V = ``vecs``) and
+    z = V* x of a unit x.
+
+    The bottom eigenvalue of the downdate is w0 - tau, with tau in (0, sigma]
+    the root of the secular equation
+
+        sigma sum_i |z_i|^2 / (w_i - w0 + tau) = 1,
+
+    and V (z / (w - w0 + tau)) its eigenvector (Golub 1973; Bunch, Nielsen
+    & Sorensen 1978).  The poles at zero gap merge into one of weight z0;
+    the others make up phi(tau) = sum |z_i|^2 / (g_i + tau), g_i = w_i - w0.
+    Each step solves the equation with phi replaced by the rational
+    p + q / (g1 + tau) through its value and slope at the iterate, g1 the
+    least positive gap: a quadratic in tau.  That model bounds phi from
+    above, so from the upper bound sigma ||z||^2 the steps descend onto the
+    root, in one step when phi has a single pole.  Where z0 = 0 and no root
+    lies in (0, sigma], w0 stays the bottom eigenvalue and v0 is returned."""
+    gap = w - w[0]
+    z0 = 0.0
+    poles = []
+    for g, weight in zip(gap.tolist(), (z * z.conj()).real.tolist()):
+        if g > 0.0:
+            poles.append((g, weight))
+        else:
+            z0 += weight
+    if z0 == 0.0 and sigma * sum(weight / g for g, weight in poles) <= 1.0:
+        return vecs[:, 0]
+    g1 = poles[0][0] if poles else 0.0
+    tau = sigma * (z0 + sum(weight for _, weight in poles))
+    for _ in range(_MAX_SECULAR_STEPS):
+        phi = slope = 0.0  # phi(tau) and -phi'(tau)
+        for g, weight in poles:
+            term = weight / (g + tau)
+            phi += term
+            slope += term / (g + tau)
+        # with p = phi - slope e and q = slope e^2, sigma (z0 / t + p +
+        # q / (g1 + t)) = 1 times t (g1 + t) reads a t^2 + b t - c = 0; a > 0
+        # at any iterate above the root, up to rounding
+        e = g1 + tau
+        a = 1.0 - sigma * (phi - slope * e)
+        if a <= 0.0:
+            break
+        b = g1 * a - sigma * (z0 + slope * e * e)
+        c = sigma * z0 * g1
+        root = math.sqrt(b * b + 4.0 * a * c)
+        new = 2.0 * c / (b + root) if b > 0.0 else (root - b) / (2.0 * a)
+        if not 0.0 < new < tau:
+            break
+        step, tau = tau - new, new
+        if step <= _SECULAR_RTOL * tau:
+            break
+    v = vecs @ (z / (gap + tau))
+    return v / math.sqrt(np.vdot(v, v).real)
+
+
 def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     """Level-shifted self-consistent-field iteration on H(x) x = mu x,
     finished by safeguarded Riemannian Newton steps.
@@ -447,7 +531,10 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     lowest eigenvalues of H(x_k).  Raising sigma pins the proposal ever
     closer to the current iterate, which suppresses the oscillation plain
     SCF is prone to.  A proposal is accepted when it strictly reduces the
-    objective.
+    objective.  A sweep diagonalizes once, however many shifts it tries:
+    H(x_k) - sigma x_k x_k* is a rank-one downdate of H(x_k) = V diag(w) V*,
+    and ``_downdated_bottom`` takes its smallest eigenvector from w, V and
+    z = V* x_k by a secular-equation root, in O(n^2).
 
     Once x sits at the bottom of H(x)'s spectrum, that is once the residual
     against the smallest eigenvalue w0, || H(x) x - w0 x || / (||H(x)||_1 + 1),
@@ -456,6 +543,9 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     nondegenerate minimizer.  The residual against the Rayleigh quotient
     would not do as the switch test: it is small next to stationary points
     paired with a higher eigenvalue, which Newton's method would then find.
+    Unshifted sweeps can also oscillate about a minimizer with that
+    residual stuck just above 1e-3; once it is above 0.75 times its value
+    100 consecutive sweeps earlier (a stall), the switch is at 1e-2.
     Newton steps diagonalize nothing; the first rejected step returns to
     the level-shifted sweeps from the same iterate.
 
@@ -480,6 +570,8 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
         )
     res = _point_residual(problem, p)
     shifts: list[float] = []
+    # residuals against w0 of the sweeps since the last Newton step
+    trail: list[float] = []
     newton = False
     converged = False
     for k in range(_MAX_SWEEPS + 1):
@@ -493,10 +585,17 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
             step = _newton_step(problem, p, res)
         else:
             w, vecs = np.linalg.eigh(res.h)
-            if np.linalg.norm(res.hx - w[0] * p.x) <= _NEWTON_SWITCH * (res.norm1 + 1.0):
+            r0 = float(np.linalg.norm(res.hx - w[0] * p.x))
+            trail.append(r0 / (res.norm1 + 1.0))
+            stalled = (
+                len(trail) > _STALL_SWEEPS
+                and trail[-1] > _STALL_RATIO * trail[-1 - _STALL_SWEEPS]
+            )
+            if r0 <= (_STALL_SWITCH if stalled else _NEWTON_SWITCH) * (res.norm1 + 1.0):
                 step = _newton_step(problem, p, res)
         if step is not None:
             newton = True
+            trail.clear()
             p, res = step
             continue
         if newton:
@@ -505,17 +604,16 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
         delta = float(w[1] - w[0]) if w.size > 1 else 0.0
         if delta <= 1e-14:
             delta = max(1e-8, 1e-8 * res.norm1)
+        z = None
         for t in range(_MAX_SHIFT_TRIES):
             if t == 0:
                 sigma = 0.0
                 v = vecs[:, 0]
             else:
                 sigma = 2.0**t * delta
-                try:
-                    _, shifted = np.linalg.eigh(res.h - sigma * np.outer(p.x, p.x.conj()))
-                except np.linalg.LinAlgError:
-                    continue
-                v = shifted[:, 0]
+                if z is None:
+                    z = vecs.conj().T @ p.x
+                v = _downdated_bottom(w, vecs, z, sigma)
             cand = _point(problem, linalg.fix_phase(v))
             if cand.value < p.value - _SHIFT_SLACK:
                 break

@@ -82,6 +82,50 @@ def test_problem_validation():
         srq2.Srq2Problem(eye, eye, np.eye(3), 1.0, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "a3, alphas, betas",
+    [
+        (np.eye(2), (0.0, 1.0), (-1.0, 0.0)),
+        (np.diag([0.0, 2.0]), (1.0, 1.0), (-1.0, 0.0)),
+        (np.diag([0.0, 2.0]), (1.0, 1.0), (0.0, -0.75)),
+        (np.diag([1.0, 3.0]), (-2.0, 1.0), (1.0, 0.0)),
+    ],
+)
+def test_indefinite_denominator_message(a3, alphas, betas):
+    # the denominator checks read A3's spectrum: with beta < 0 the smallest
+    # eigenvalue of alpha I + beta A3 is alpha + beta lambda_max(A3)
+    eye = np.eye(2)
+    expected = [
+        alpha + beta * np.linalg.eigvalsh(a3)[-1 if beta < 0 else 0]
+        for alpha, beta in zip(alphas, betas)
+    ]
+    which = 1 if expected[0] < 0 else 2
+    message = (
+        f"denominator matrix {which} is not positive semidefinite "
+        f"(smallest eigenvalue {expected[which - 1]:.3e})"
+    )
+    with pytest.raises(ValueError) as info:
+        srq2.Srq2Problem(eye, eye, a3, alphas[0], betas[0], alphas[1], betas[1])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "a3, params, ok",
+    [
+        # the sum of the denominators, (alpha1 + alpha2) I + (beta1 + beta2) A3,
+        # is I - A3 / 2 here: its smallest eigenvalue is at A3's largest
+        (np.diag([0.0, 1.0]), (1.0, -1.0, 0.0, 0.5), True),
+        # I - A3 and 0 share the null vector e2
+        (np.diag([0.0, 1.0]), (1.0, -1.0, 0.0, 0.0), False),
+        # A3 and A3 / 2 of A3 = diag(0, 2) share the null vector e1
+        (np.diag([0.0, 2.0]), (0.0, 1.0, 0.0, 0.5), False),
+    ],
+)
+def test_common_null_check_reads_a3_spectrum(a3, params, ok):
+    eye = np.eye(2)
+    assert srq2.Srq2Problem(eye, eye, a3, *params).common_null_ok is ok
+
+
 def test_nepv_matrix_matches_tangent_finite_differences():
     # 2 Re(d* H(x) x) approximates the tangent directional derivative of f
     rng = np.random.default_rng(7)
@@ -479,6 +523,117 @@ def test_newton_endgame_avoids_spurious_point():
         sol = srq2.scf_solve(problem, x0)
         assert sol.smallest_eig_gap <= 1e-8, (k, sol.smallest_eig_gap)
         assert abs(np.vdot(sol.x, x2)) <= 0.99, k
+
+
+def _downdate_cases(n, rng):
+    """(H, x) pairs of order n: a generic spectrum, a repeated bottom
+    eigenvalue, x orthogonal to the bottom eigenvector, and a diagonal H
+    with a double bottom eigenvalue and x orthogonal to both of its
+    eigenvectors, where the poles at zero gap are exact."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.sort(rng.uniform(-2.0, 2.0, n))
+    x = linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    yield (q * w) @ q.conj().T, x
+    if n == 1:
+        return
+    wr = w.copy()
+    wr[1] = wr[0]
+    yield (q * wr) @ q.conj().T, x
+    h = (q * w) @ q.conj().T
+    v0 = np.linalg.eigh(h)[1][:, 0]
+    yield h, linalg.normalize(x - np.vdot(v0, x) * v0)
+    if n > 2:
+        xd = x.copy()
+        xd[:2] = 0.0
+        yield np.diag(wr).astype(complex), linalg.normalize(xd)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+def test_downdated_bottom_matches_eigh(n):
+    # the secular solve of the shifted SCF proposal against a dense eigh of
+    # H - sigma x x*, for sigma from 1e-8 to 1e8 times the spectral gap
+    rng = np.random.default_rng(40 + n)
+    checked = 0
+    for h, x in _downdate_cases(n, rng):
+        w, vecs = np.linalg.eigh(h)
+        z = vecs.conj().T @ x
+        positive = np.diff(w)[np.diff(w) > 1e-8]
+        gap = float(positive[0]) if positive.size else 1.0
+        norm = linalg.norm1(h)
+        for sigma in gap * 10.0 ** np.arange(-8.0, 9.0):
+            m = h - sigma * np.outer(x, x.conj())
+            ref_w, ref_v = np.linalg.eigh(m)
+            v = srq2._downdated_bottom(w, vecs, z, sigma)
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+            scale = norm + sigma
+            residual = float(np.linalg.norm(m @ v - ref_w[0] * v))
+            assert residual <= 1e-12 * scale, (sigma, residual)
+            if n == 1 or ref_w[1] - ref_w[0] > 1e-8 * scale:
+                overlap = abs(np.vdot(ref_v[:, 0], v))
+                assert overlap >= 1.0 - 1e-12, (sigma, 1.0 - overlap)
+            checked += 1
+    assert checked == 17 * (1 if n == 1 else 3 if n == 2 else 4)
+
+
+def test_shifted_proposals_reuse_the_sweep_eigendecomposition(monkeypatch):
+    # an n = 30 AP instance whose sweeps all need a level shift: the shifted
+    # proposals come from the sweep's own eigh, so a run makes one eigh per
+    # iteration at most (none on Newton steps), however many shifts it tries
+    rng = np.random.default_rng(0)
+    problem = srq2.random_problem(30, rng, "AP")
+    x0 = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sol = srq2.scf_solve(problem, x0)
+    assert sol.converged
+    assert sum(1 for sigma in sol.shifts_used if sigma > 0.0) >= 10
+    assert len(sol.shifts_used) <= len(calls) <= sol.iterations, (len(calls), sol.iterations)
+
+
+# The ABP quotient problem of a small backward-error case (r = n = 1, d = 0).
+# Unshifted sweeps oscillate about its minimizer, their residual against w0
+# falling by a factor of about 0.998 per sweep from 4.6e-3, just above the
+# Newton switch.
+_STALL_A1 = np.array(
+    [
+        [0.3966877599630467, 0.6223233106305479 - 0.6431207944206145j],
+        [0.6223233106305479 + 0.6431207944206145j, 2.0189447217755707],
+    ]
+)
+_STALL_A2 = np.array(
+    [
+        [1.2466326308382347, 0.2596218908985992 - 0.30016074522672603j],
+        [0.2596218908985992 + 0.30016074522672603j, 0.12634034703786376],
+    ]
+)
+
+
+def test_stalled_sweeps_hand_over_to_newton(monkeypatch):
+    # every run used to reach the 400-sweep cap at about 0.8025677; once the
+    # stall is detected, Newton steps take the runs to the minimum
+    problem = srq2.Srq2Problem(_STALL_A1, _STALL_A2, np.diag([0.0, 1.0]), 1.0, 0.0, 0.0, 1.0)
+    engine = srq2.scf_solve
+    runs = []
+
+    def recorded(*args, **kwargs):
+        sol = engine(*args, **kwargs)
+        runs.append(sol)
+        return sol
+
+    monkeypatch.setattr(srq2, "scf_solve", recorded)
+    sol = srq2.solve(problem, restarts=5, seed=1739585356)
+    assert len(runs) == 7
+    assert all(r.converged and r.iterations < srq2._MAX_SWEEPS for r in runs), [
+        (r.iterations, r.rel_residual) for r in runs
+    ]
+    assert sol.value == pytest.approx(0.8025486106411, abs=1e-12)
+    assert sol.value <= srq2.brute_force_oracle(problem, 2000, seed=1) + 1e-12
 
 
 def _reference_scf(problem, x0, *, max_iter=400, tol=1e-10, max_shift_tries=40):
