@@ -2,15 +2,14 @@
 
 Hermitian parts, definite and semidefinite generalized eigenvalue
 pencils, positive-semidefinite null spaces, minimal Frobenius-norm linear
-maps, and smallest singular values.  All functions
-accept array-likes, promote to complex128, reject non-finite input, and
-treat nominally Hermitian matrices defensively by symmetrizing.
+maps, and smallest singular values, all with numpy alone (one BLAS).  All
+functions accept array-likes, promote to complex128, reject non-finite
+input, and treat nominally Hermitian matrices defensively by symmetrizing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "EigenConvergenceError",
@@ -114,9 +113,11 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     definite, plus a unit eigenvector.
 
     Reduces via the Cholesky factor N = L L* to a standard Hermitian
-    problem on L^{-1} M L^{-*}.  Raises NotPositiveDefiniteError when the
-    factorization fails, signalling the caller to take a semidefinite or
-    infeasible branch.
+    problem on L^{-1} M L^{-*} (triangular solves by ``np.linalg.solve``).
+    The value is the quotient v*Mv / v*Nv that the returned v attains, not
+    the reduced eigenvalue, which drifts from it as N grows ill-conditioned.
+    Raises NotPositiveDefiniteError when the factorization fails, signalling
+    the caller to take a semidefinite or infeasible branch.
     """
     M = hermitian_part(m, "pencil left-hand side")
     N = hermitian_part(n, "pencil right-hand side")
@@ -128,16 +129,16 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
         raise NotPositiveDefiniteError(
             "pencil right-hand side is not positive definite"
         ) from exc
-    t = solve_triangular(L, M, lower=True)
-    a = solve_triangular(L, t.conj().T, lower=True).conj().T
+    t = np.linalg.solve(L, M)
+    a = np.linalg.solve(L, t.conj().T).conj().T
     a = (a + a.conj().T) / 2.0
     try:
         w, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"pencil eigendecomposition failed: {exc}") from exc
-    v = solve_triangular(L.conj().T, vecs[:, 0], lower=False)
-    v = v / np.linalg.norm(v)
-    return float(w[0]), fix_phase(v)
+    v = np.linalg.solve(L.conj().T, vecs[:, 0])
+    v = fix_phase(v / np.linalg.norm(v))
+    return float(np.real(np.vdot(v, M @ v)) / np.real(np.vdot(v, N @ v))), v
 
 
 def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
@@ -149,7 +150,8 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     replaces M by its Schur complement onto the numerically positive
     subspace of N; that requires M restricted to null(N) to be positive
     definite (otherwise NotPositiveDefiniteError).  The returned y
-    satisfies M y = value * N y.
+    satisfies M y = value * N y, and value is the Rayleigh quotient
+    y*My / y*Ny of that y.
     """
     M = hermitian_part(m, "pencil left-hand side")
     N = hermitian_part(n, "pencil right-hand side")
@@ -179,13 +181,13 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
             "pencil numerator is singular on the null space of the denominator"
         ) from exc
     # Schur complement of the null-space block of M.
-    Y = solve_triangular(Lz, mpz.conj().T, lower=True)
+    Y = np.linalg.solve(Lz, mpz.conj().T)
     schur = mpp - Y.conj().T @ Y
     npp = P.conj().T @ N @ P
-    value, u = definite_pencil_smallest(schur, npp)
-    yz = -solve_triangular(Lz.conj().T, Y @ u, lower=False)
-    y = P @ u + Z @ yz
-    return value, fix_phase(y / np.linalg.norm(y))
+    _, u = definite_pencil_smallest(schur, npp)
+    yz = -np.linalg.solve(Lz.conj().T, Y @ u)
+    y = fix_phase(normalize(P @ u + Z @ yz))
+    return float(np.real(np.vdot(y, M @ y)) / np.real(np.vdot(y, N @ y))), y
 
 
 def psd_nullspace(m) -> np.ndarray:

@@ -721,12 +721,10 @@ def solve(
         raise ValueError("restarts must be nonnegative")
     rng = np.random.default_rng(seed)
     n = problem.n
-    starts: list[np.ndarray] = []
-    for _ in range(int(restarts)):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if not np.linalg.norm(z):
-            continue
-        starts.append(linalg.normalize(z))
+    starts = [
+        linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for _ in range(int(restarts))
+    ]
     starts.extend(_single_quotient_starts(problem))
 
     def run(x0):

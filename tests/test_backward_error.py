@@ -170,6 +170,30 @@ def test_certificates_pass_on_random_system(shape):
         )
 
 
+@pytest.mark.parametrize("shape", [(60, 60, 2), (10, 100, 1)])
+def test_pencil_certificates_pass_on_size_ladder(shape):
+    """Every pencil pattern certifies at the large sizes of the ladder: the
+    returned eta is the value its minimizer attains, so the rebuilt
+    perturbation matches it in norm.  The seven SRQ2 patterns pass here too
+    but take about 17 s on these inputs, so only the pencil routes run."""
+    r, n, d = shape
+    pencil = [letters for letters, route in ROUTES.items() if route.kind == "pencil"]
+    assert len(pencil) == 8
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, r, n, d)
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        for letters in pencil:
+            result = backward_error(system, lam, letters)
+            cert = result.certificate
+            assert math.isfinite(result.eta) and cert is not None, (seed, letters)
+            assert cert.passed, (
+                seed,
+                letters,
+                [(c.name, c.value, c.bound) for c in cert.checks],
+            )
+
+
 def test_certify_rejects_corrupted_minimizer():
     rng = np.random.default_rng(6)
     system = random_system(rng, r=2, n=2, d=1)

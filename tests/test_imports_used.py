@@ -1,7 +1,10 @@
-"""Every module-level import of the package is used or re-exported, and every
-private module-level function or class is referenced somewhere in it."""
+"""Every module-level import of the package is used or re-exported, every
+private module-level function or class is referenced somewhere in it, and
+numpy is its only third-party runtime import."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,22 @@ def test_private_definitions_are_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private definitions with no reference in the package: {orphans}"
+
+
+def test_package_does_not_load_scipy():
+    # A fresh interpreter, so that scipy imported by the test suite's own
+    # helpers cannot mask an import made by the package.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import rosen_bkerr, rosen_bkerr.cli; "
+        "print(rosen_bkerr.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert Path(out[0]).parent == PACKAGE
+    assert out[1] == "[]", f"importing rosen_bkerr loaded scipy: {out[1]}"

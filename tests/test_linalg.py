@@ -115,6 +115,28 @@ def test_semidefinite_pencil_unbounded_reports():
         linalg.semidefinite_pencil_smallest(m, n)
 
 
+@pytest.mark.parametrize("n", [3, 8, 30])
+@pytest.mark.parametrize("kernel", ["definite", "semidefinite"])
+def test_pencil_value_is_the_quotient_its_vector_attains(kernel, n):
+    # N = Q diag(1 .. 1e-8) Q* has condition number 1e8; the semidefinite
+    # kernel gets its rank-(n-1) truncation, so the Schur path runs.  On
+    # these inputs the Cholesky-reduced eigenvalue sits up to about 3e-6
+    # (relative) away from v*Mv / v*Nv, which callers rebuild eta from.
+    solve = getattr(linalg, f"{kernel}_pencil_smallest")
+    spectrum = np.logspace(0, -8, n)
+    if kernel == "semidefinite":
+        spectrum[-1] = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = g @ g.conj().T
+        nmat = (q * spectrum) @ q.conj().T
+        value, v = solve(m, nmat)
+        attained = np.real(np.vdot(v, m @ v)) / np.real(np.vdot(v, nmat @ v))
+        assert abs(value - attained) <= 1e-12 * abs(value), (seed, value, attained)
+
+
 def test_psd_nullspace_explicit_kernel():
     basis = linalg.psd_nullspace(np.diag([0.0, 0.0, 5.0]))
     assert basis.shape == (3, 2)
