@@ -315,19 +315,15 @@ def cmd_jnr(args) -> int:
     _write_output(csv_text, args.out)
 
     solution = srq2.solve(problem, restarts=args.restarts, seed=args.seed, tol=args.tol)
-    g_params = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
     y_star = jnr.rho(matrices, solution.x)
     # g(rho(w)) = f(w) at a unit witness w
     boundary_min = min(srq2.objective(problem, p.witness) for p in points)
-    try:
-        gap = jnr.optimality_certificate(matrices, g_params, solution.x).support_gap
-    except srq2.NondifferentiablePointError:
-        gap = None
+    gap = solution.smallest_eig_gap
     sidecar = {
         "schemaVersion": SCHEMA_VERSION,
         "objectiveAtSolution": solution.value,
         "rhoAtSolution": [float(v) for v in y_star],
-        "supportGap": gap,
+        "supportGap": None if math.isnan(gap) else gap,
         "boundaryObjectiveGap": boundary_min - solution.value,
         "solver": _solver_document(solution),
     }
@@ -348,12 +344,17 @@ def cmd_certify(args) -> int:
     eta_field = doc.get("eta")
     if eta_field == "inf":
         raise CliInputError(f"{where}: cannot re-certify an infinite backward error")
-    if isinstance(eta_field, bool) or not isinstance(eta_field, (int, float)):
-        raise CliInputError(f"{where}: eta must be a number or 'inf'")
+    finite = isinstance(eta_field, (int, float)) and math.isfinite(eta_field)
+    if isinstance(eta_field, bool) or not finite:
+        raise CliInputError(f"{where}: eta must be a finite number or 'inf'")
     x_field = doc.get("x")
     if x_field is None:
         raise CliInputError(f"{where}: result carries no minimizer to certify")
     x = _pairs_to_vector(x_field, f"{where}: x")
+    if x.size != system.r + system.n:
+        raise CliInputError(f"{where}: x must have r+n = {system.r + system.n} entries")
+    if not x.any():
+        raise CliInputError(f"{where}: x must be nonzero")
     stored = BackwardErrorResult(
         eta=float(eta_field),
         x=x,

@@ -111,9 +111,7 @@ def optimality_certificate(matrices, g_params, x) -> OptimalityCertificate:
     alpha1, beta1, alpha2, beta2 = g_params
     problem = srq2.Srq2Problem(*_hermitian_triple(matrices), alpha1, beta1, alpha2, beta2)
     p = srq2._smooth_point(problem, x)
-    h = srq2._stationarity_matrix(problem, p)
-    s = float(np.real(np.vdot(p.x, h @ p.x)))
     return OptimalityCertificate(
         grad_direction=srq2._h_combination(problem, p.q1, p.q2, p.d1, p.d2, *np.eye(3)),
-        support_gap=s - float(np.linalg.eigvalsh(h)[0]),
+        support_gap=srq2._info(srq2._residual(problem, p), p.x).smallest_eig_gap,
     )

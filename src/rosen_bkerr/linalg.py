@@ -141,6 +141,20 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     return float(np.real(np.vdot(v, M @ v)) / np.real(np.vdot(v, N @ v))), v
 
 
+def _psd_split(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the Hermitian positive-semidefinite M (as columns)
+    and the mask of its numerically zero eigenvalues: those at or below
+    tol * max(1, ||M||_1).  An eigenvalue below -tol * ||M||_1 raises
+    IndefiniteMatrixError."""
+    w, V = np.linalg.eigh(M)
+    scale = norm1(M)
+    if w.size and w[0] < -_NULL_TOL * scale:
+        raise IndefiniteMatrixError(
+            f"{name} has eigenvalue {w[0]:.3e} below -tol*norm1 = {-_NULL_TOL * scale:.3e}"
+        )
+    return V, w <= _NULL_TOL * max(1.0, scale)
+
+
 def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     """Infimum of the Rayleigh quotient (y* M y)/(y* N y) over y* N y > 0,
     for Hermitian M and positive-semidefinite N, plus an attaining unit
@@ -157,19 +171,13 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     N = hermitian_part(n, "pencil right-hand side")
     if M.shape != N.shape:
         raise ValueError(f"pencil shapes differ: {M.shape} vs {N.shape}")
-    w, W = np.linalg.eigh(N)
-    scale = norm1(N)
-    if w.size and w[0] < -_NULL_TOL * scale:
-        raise IndefiniteMatrixError(
-            f"pencil right-hand side has eigenvalue {w[0]:.3e} below -tol*||N||_1"
-        )
-    pos = w > _NULL_TOL * max(1.0, scale)
-    if not pos.any():
+    W, null = _psd_split(N, "pencil right-hand side")
+    if null.all():
         raise NotPositiveDefiniteError("pencil right-hand side is numerically zero")
-    if pos.all():
+    if not null.any():
         return definite_pencil_smallest(M, N)
-    P = W[:, pos]
-    Z = W[:, ~pos]
+    P = W[:, ~null]
+    Z = W[:, null]
     mpp = P.conj().T @ M @ P
     mpz = P.conj().T @ M @ Z
     mzz = Z.conj().T @ M @ Z
@@ -198,15 +206,8 @@ def psd_nullspace(m) -> np.ndarray:
     package's null-space threshold tol; an eigenvalue below -tol * ||M||_1
     raises IndefiniteMatrixError.
     """
-    M = hermitian_part(m)
-    w, V = np.linalg.eigh(M)
-    scale = norm1(M)
-    if w.size and w[0] < -_NULL_TOL * scale:
-        raise IndefiniteMatrixError(
-            f"matrix has eigenvalue {w[0]:.3e} below -tol*||M||_1 = {-_NULL_TOL * scale:.3e}"
-        )
-    keep = w <= _NULL_TOL * max(1.0, scale)
-    return V[:, keep].copy()
+    V, null = _psd_split(hermitian_part(m), "matrix")
+    return V[:, null].copy()
 
 
 def min_frobenius_map(x, b) -> np.ndarray:

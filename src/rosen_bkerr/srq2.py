@@ -292,28 +292,6 @@ def objective(problem: Srq2Problem, x) -> float:
     return _point(problem, np.asarray(x, dtype=np.complex128).ravel()).value
 
 
-def _stationarity_matrix(problem, p: _Point) -> np.ndarray:
-    """H(x) at the unit vector of p."""
-    return _h_combination(problem, p.q1, p.q2, p.d1, p.d2, problem.a1, problem.a2, problem.a3)
-
-
-def nepv_matrix(problem: Srq2Problem, x) -> np.ndarray:
-    """Stationarity matrix H(x) at a differentiable point (x is normalized
-    internally).  Raises NondifferentiablePointError when either quotient
-    denominator is numerically zero."""
-    return _stationarity_matrix(problem, _smooth_point(problem, x))
-
-
-class ResidualInfo(NamedTuple):
-    """Stationarity diagnostics at a unit vector: the residual against the
-    smallest eigenvalue of H(x), the scaled residual against the Rayleigh
-    quotient s = x* H(x) x, and the gap s - lambda_min(H(x))."""
-
-    nepv_residual: float
-    rel_residual: float
-    smallest_eig_gap: float
-
-
 class _Residual(NamedTuple):
     """H(x) at a unit vector x with H(x) x, the Rayleigh quotient
     s = x* H(x) x, ||H(x)||_1 and the relative residual
@@ -326,18 +304,42 @@ class _Residual(NamedTuple):
     rel: float
 
 
-def _residual(h: np.ndarray, x: np.ndarray) -> _Residual:
-    hx = h @ x
-    s = float(np.real(np.vdot(x, hx)))
+def _residual(problem: Srq2Problem, p: _Point) -> _Residual:
+    """H(x) and its residual data at the unit vector of the smooth point p."""
+    h = _h_combination(problem, p.q1, p.q2, p.d1, p.d2, problem.a1, problem.a2, problem.a3)
+    hx = h @ p.x
+    s = float(np.real(np.vdot(p.x, hx)))
     norm1 = linalg.norm1(h)
-    return _Residual(h, hx, s, norm1, float(np.linalg.norm(hx - s * x)) / (norm1 + 1.0))
+    return _Residual(h, hx, s, norm1, float(np.linalg.norm(hx - s * p.x)) / (norm1 + 1.0))
+
+
+def nepv_matrix(problem: Srq2Problem, x) -> np.ndarray:
+    """Stationarity matrix H(x) at a differentiable point (x is normalized
+    internally).  Raises NondifferentiablePointError when either quotient
+    denominator is numerically zero."""
+    return _residual(problem, _smooth_point(problem, x)).h
+
+
+class ResidualInfo(NamedTuple):
+    """Stationarity diagnostics at a unit vector: the residual against the
+    smallest eigenvalue of H(x), the scaled residual against the Rayleigh
+    quotient s = x* H(x) x, and the gap s - lambda_min(H(x))."""
+
+    nepv_residual: float
+    rel_residual: float
+    smallest_eig_gap: float
+
+
+def _info(res: _Residual, x: np.ndarray) -> ResidualInfo:
+    """The diagnostics of ``res`` at its unit vector x, with the one
+    eigenvalue solve for lambda_min(H(x))."""
+    w0 = float(np.linalg.eigvalsh(res.h)[0])
+    return ResidualInfo(float(np.linalg.norm(res.hx - w0 * x)), res.rel, res.s - w0)
 
 
 def nepv_residuals(problem: Srq2Problem, x) -> ResidualInfo:
-    x = linalg.normalize(np.asarray(x, dtype=np.complex128).ravel())
-    res = _residual(nepv_matrix(problem, x), x)
-    w0 = float(np.linalg.eigvalsh(res.h)[0])
-    return ResidualInfo(float(np.linalg.norm(res.hx - w0 * x)), res.rel, res.s - w0)
+    p = _smooth_point(problem, x)
+    return _info(_residual(problem, p), p.x)
 
 
 @dataclass(frozen=True)
@@ -346,7 +348,8 @@ class Srq2Solution:
 
     ``value`` is the objective at ``x`` (unit, phase fixed);
     ``nepv_residual``, ``rel_residual`` and ``smallest_eig_gap`` are the
-    ResidualInfo fields recomputed at x (NaN where H(x) is undefined);
+    ResidualInfo fields at x, from the H(x) its search ended on (for an SCF
+    run, that of its final iterate; NaN where H(x) is undefined);
     ``iterations`` counts SCF sweeps plus Newton steps and ``shifts_used``
     holds the level shift of each accepted sweep; ``source`` records which
     search produced the point: SOURCE_SCF, or SOURCE_NONDIFF_1 or
@@ -365,27 +368,19 @@ class Srq2Solution:
     converged: bool
 
 
-def _solution_at(problem, x, *, iterations, shifts, source, converged):
-    value = objective(problem, x)
-    try:
-        info = nepv_residuals(problem, x)
-    except NondifferentiablePointError:
-        info = ResidualInfo(math.nan, math.nan, math.nan)
+def _solution(problem, p: _Point, res: _Residual | None, *, iterations, shifts, source, converged):
+    """The Srq2Solution at p, with the diagnostics of its residual data
+    ``res``; None where p is not smooth gives NaN diagnostics."""
+    info = ResidualInfo(math.nan, math.nan, math.nan) if res is None else _info(res, p.x)
     return Srq2Solution(
-        x=x,
-        value=value,
-        nepv_residual=info.nepv_residual,
-        rel_residual=info.rel_residual,
-        smallest_eig_gap=info.smallest_eig_gap,
+        x=p.x,
+        value=objective(problem, p.x),
+        **info._asdict(),
         iterations=iterations,
         shifts_used=tuple(shifts),
         source=source,
         converged=converged,
     )
-
-
-def _point_residual(problem, p: _Point) -> _Residual:
-    return _residual(_stationarity_matrix(problem, p), p.x)
 
 
 def _real(u: np.ndarray) -> np.ndarray:
@@ -458,7 +453,7 @@ def _newton_step(problem, p: _Point, res: _Residual):
     cand = _point(problem, linalg.fix_phase(linalg.normalize(x + (v[:n] + 1j * v[n:m]))))
     if not (cand.smooth and cand.value <= p.value + _EPS_FLOOR * max(1.0, abs(p.value))):
         return None
-    cand_res = _point_residual(problem, cand)
+    cand_res = _residual(problem, cand)
     if not cand_res.rel < res.rel:
         return None
     return cand, cand_res
@@ -565,10 +560,10 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
         raise ValueError(f"x0 must have length {problem.n}")
     p = _point(problem, x)
     if not p.smooth:
-        return _solution_at(
-            problem, p.x, iterations=0, shifts=(), source=SOURCE_SCF, converged=False
+        return _solution(
+            problem, p, None, iterations=0, shifts=(), source=SOURCE_SCF, converged=False
         )
-    res = _point_residual(problem, p)
+    res = _residual(problem, p)
     shifts: list[float] = []
     # residuals against w0 of the sweeps since the last Newton step
     trail: list[float] = []
@@ -623,9 +618,9 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
             break
         shifts.append(float(sigma))
         p = cand
-        res = _point_residual(problem, p)
-    return _solution_at(
-        problem, p.x, iterations=k, shifts=shifts, source=SOURCE_SCF, converged=converged
+        res = _residual(problem, p)
+    return _solution(
+        problem, p, res, iterations=k, shifts=shifts, source=SOURCE_SCF, converged=converged
     )
 
 
@@ -664,8 +659,11 @@ def nondiff_candidates(problem: Srq2Problem) -> list[Srq2Solution]:
                 f"restricted denominator pencil of the {source} candidates is not "
                 "definite although the denominators have no common null vector"
             ) from exc
-        x = linalg.fix_phase(linalg.normalize(basis @ v))
-        out.append(_solution_at(problem, x, iterations=0, shifts=(), source=source, converged=True))
+        p = _point(problem, linalg.fix_phase(linalg.normalize(basis @ v)))
+        res = _residual(problem, p) if p.smooth else None
+        out.append(
+            _solution(problem, p, res, iterations=0, shifts=(), source=source, converged=True)
+        )
     return out
 
 

@@ -216,6 +216,30 @@ def test_certify_reports_failed_reconstruction(tmp_path, capsys):
     assert "certificate: FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"eta": float("nan")},
+        {"eta": float("inf")},
+        {"x": [[1.0, 0.0]] * 4},
+        {"x": [[0.0, 0.0]] * 5},
+    ],
+    ids=["eta-nan", "eta-infinity", "x-not-r-plus-n", "x-zero"],
+)
+def test_certify_rejects_malformed_result(tmp_path, capsys, edit):
+    # json writes and reads the literals NaN and Infinity
+    system = random_system(np.random.default_rng(5), r=2, n=3, d=1)
+    sys_path = write_system(tmp_path, system)
+    out_path = tmp_path / "result.json"
+    args = ["--system", str(sys_path), "--lambda", "0.3+0.4i", "--pattern", "BC"]
+    assert cli.main(["compute", *args, "--out", str(out_path)]) == 0
+    out_path.write_text(json.dumps({**json.loads(out_path.read_text()), **edit}))
+    capsys.readouterr()
+    code = cli.main(["certify", "--system", str(sys_path), "--result", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compute_pencil_pattern_writes_no_solver_block(tmp_path):
     rng = np.random.default_rng(3)
     system = random_system(rng, r=2, n=2, d=1)

@@ -809,3 +809,41 @@ def test_scf_start_on_zero_over_zero_set_is_returned_as_is():
     assert sol.value == 1.0
     assert not sol.converged
     assert sol.iterations == 0
+
+
+def test_run_state_diagnostics_match_from_scratch(monkeypatch):
+    # every run's value and residuals come from its search's own state; they
+    # must be what the public functions recompute at the returned x, and NaN
+    # exactly where H(x) is undefined
+    engine = srq2.scf_solve
+    runs = []
+
+    def recorded(*args, **kwargs):
+        sol = engine(*args, **kwargs)
+        runs.append(sol)
+        return sol
+
+    monkeypatch.setattr(srq2, "scf_solve", recorded)
+    rng = np.random.default_rng(16)
+    k = undefined = 0
+    for template in srq2.PATTERN_TEMPLATES:
+        for n in (2, 3, 4, 8, 12):
+            for _ in range(3):
+                problem = srq2.random_problem(n, rng, template, rank_deficient=(k % 3 == 2))
+                runs.clear()
+                srq2.solve(problem, restarts=5, seed=k)
+                k += 1
+                nondiff = srq2.nondiff_candidates(problem) if problem.common_null_ok else []
+                for sol in runs + nondiff:
+                    diagnostics = (sol.nepv_residual, sol.rel_residual, sol.smallest_eig_gap)
+                    assert sol.value == srq2.objective(problem, sol.x)
+                    try:
+                        info = srq2.nepv_residuals(problem, sol.x)
+                    except srq2.NondifferentiablePointError:
+                        assert all(math.isnan(v) for v in diagnostics)
+                        undefined += 1
+                        continue
+                    tol = 1e-13 * (linalg.norm1(srq2.nepv_matrix(problem, sol.x)) + 1.0)
+                    for got, want in zip(diagnostics, info):
+                        assert abs(got - want) <= tol, (template, n, got, want)
+    assert undefined > 0
