@@ -57,10 +57,7 @@ METHOD_TRANSPOSED_SRQ2 = f"transposed_{METHOD_SRQ2}"
 
 _LETTERS = "ABCP"
 
-_ZERO_GATE = 1e-12
-_RHS_ZERO_TOL = 1e-12
-_FEAS_VEC_TOL = 1e-8
-_RESIDUAL_FACTOR = 1e-8
+_FEAS_TOL = 1e-8
 _NORM_MATCH_TOL = 1e-10
 _NEPV_CERT_TOL = 1e-9
 _PENCIL_CERT_TOL = 1e-10
@@ -276,14 +273,9 @@ def _pencil_data(route: Route, system: RosenbrockSystem, lam):
 def _solve_pencil(route: Route, system: RosenbrockSystem, lam):
     """(squared value, minimizer, infeasibility witness) of a pencil route."""
     basis, m, nmat, rhs_name, scale = _pencil_data(route, system, lam)
-    k = basis.shape[1]
-    if route.rhs is not None and linalg.norm1(nmat) <= _RHS_ZERO_TOL * max(1.0, float(k)):
+    if linalg.norm1(nmat) <= linalg.threshold(linalg.ZERO_TOL, basis.shape[1]):
         return math.inf, None, f"{rhs_name} = 0"
-    if route.rhs is None:
-        w, vecs = np.linalg.eigh(m)
-        value, y = float(w[0]), vecs[:, 0]
-    else:
-        value, y = linalg.semidefinite_pencil_smallest(m, nmat)
+    value, y = linalg.semidefinite_pencil_smallest(m, nmat)
     return scale * value, linalg.fix_phase(linalg.normalize(basis @ y)), None
 
 
@@ -310,7 +302,8 @@ def backward_error(
     route = ROUTES[pattern.letters]
     s_mat = system.evaluate(lam)
     solver = witness = None
-    if linalg.smallest_singular_value(s_mat) <= _ZERO_GATE * max(1.0, linalg.norm1(s_mat)):
+    zero_gate = linalg.threshold(linalg.ZERO_TOL, linalg.norm1(s_mat))
+    if linalg.smallest_singular_value(s_mat) <= zero_gate:
         method = METHOD_ZERO_EIGENVALUE
         value, x = 0.0, linalg.fix_phase(np.linalg.svd(s_mat)[2][-1].conj())
     else:
@@ -348,7 +341,7 @@ def _row_maps(rhs: np.ndarray, parts: dict, open_blocks: str, res_tol: float) ->
     vanish but the row's residual does not."""
     opened = [v for k, v in parts.items() if k in open_blocks]
     v = np.concatenate(opened) if opened else np.zeros(0, dtype=np.complex128)
-    if np.linalg.norm(v) <= _FEAS_VEC_TOL:
+    if np.linalg.norm(v) <= _FEAS_TOL:
         if np.linalg.norm(rhs) > res_tol:
             raise ReconstructionError(
                 "a block row is not annihilated at the minimizer and the "
@@ -390,7 +383,7 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Rosen
     x = linalg.normalize(x)
     x1, x2 = x[:r], x[r:]
     s_mat = work.evaluate(lam)
-    res_tol = _RESIDUAL_FACTOR * max(1.0, linalg.norm1(s_mat))
+    res_tol = linalg.threshold(_FEAS_TOL, linalg.norm1(s_mat))
     trailing = np.concatenate([(lam**j) * x2 for j in range(d + 1)])
     dA, dB = _row_maps(s_mat[:r] @ x, {"A": x1, "B": x2}, route.inner, res_tol)
     dC, dP = _row_maps(s_mat[r:] @ x, {"C": x1, "P": trailing}, route.inner, res_tol)
@@ -412,7 +405,7 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     pattern = _as_pattern(result.pattern)
     lam = complex(result.lam)
     s_mat = system.evaluate(lam)
-    smin_bound = _RESIDUAL_FACTOR * max(1.0, linalg.norm1(s_mat))
+    smin_bound = linalg.threshold(_FEAS_TOL, linalg.norm1(s_mat))
 
     if result.method == METHOD_ZERO_EIGENVALUE:
         smin = linalg.smallest_singular_value(s_mat)

@@ -261,14 +261,12 @@ def cmd_compute(args) -> int:
         pattern = PerturbationPattern.from_string(args.pattern)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    result = backward_error(
-        system,
-        lam,
-        pattern,
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    try:
+        result = backward_error(
+            system, lam, pattern, restarts=args.restarts, seed=args.seed, tol=args.tol
+        )
+    except ValueError as exc:  # a shift whose evaluation overflows
+        raise CliInputError(str(exc)) from exc
     doc = result_to_document(result)
     _write_output(serialize_document(doc), args.out)
     if math.isinf(result.eta):
@@ -362,7 +360,10 @@ def cmd_certify(args) -> int:
         pattern=pattern,
         lam=lam,
     )
-    cert = certify(system, stored)
+    try:
+        cert = certify(system, stored)
+    except ValueError as exc:
+        raise CliInputError(f"{where}: {exc}") from exc
     header = f"{'check':<42} {'value':>14} {'bound':>14} verdict"
     print(header)
     print("-" * len(header))

@@ -16,6 +16,7 @@ __all__ = [
     "IndefiniteMatrixError",
     "InfeasibleMapError",
     "NotPositiveDefiniteError",
+    "ZERO_TOL",
     "as_complex_matrix",
     "as_complex_vector",
     "definite_pencil_smallest",
@@ -27,12 +28,15 @@ __all__ = [
     "psd_nullspace",
     "semidefinite_pencil_smallest",
     "smallest_singular_value",
+    "threshold",
 ]
 
 
-# Eigenvalues at or below this times max(1, ||M||_1) count as zero in every
-# null space and every semidefinite pencil denominator of the package.
+# Eigenvalues at or below threshold(_NULL_TOL, ||M||_1) count as zero in
+# every null space and every semidefinite pencil denominator of the package.
 _NULL_TOL = 1e-10
+# The floating-point noise level of every other numerically-zero test.
+ZERO_TOL = 1e-12
 
 
 class EigenConvergenceError(RuntimeError):
@@ -77,6 +81,12 @@ def norm1(m) -> float:
     if m.ndim == 1:
         return float(np.abs(m).sum())
     return float(np.linalg.norm(m, 1))
+
+
+def threshold(tol: float, scale: float) -> float:
+    """The package's one rule for "numerically zero": tol * max(1, scale),
+    absolute below scale 1 and relative to scale above it."""
+    return tol * max(1.0, scale)
 
 
 def normalize(v) -> np.ndarray:
@@ -144,7 +154,7 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
 def _psd_split(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of the Hermitian positive-semidefinite M (as columns)
     and the mask of its numerically zero eigenvalues: those at or below
-    tol * max(1, ||M||_1).  An eigenvalue below -tol * ||M||_1 raises
+    threshold(tol, ||M||_1).  An eigenvalue below -tol * ||M||_1 raises
     IndefiniteMatrixError."""
     w, V = np.linalg.eigh(M)
     scale = norm1(M)
@@ -152,7 +162,7 @@ def _psd_split(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise IndefiniteMatrixError(
             f"{name} has eigenvalue {w[0]:.3e} below -tol*norm1 = {-_NULL_TOL * scale:.3e}"
         )
-    return V, w <= _NULL_TOL * max(1.0, scale)
+    return V, w <= threshold(_NULL_TOL, scale)
 
 
 def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
@@ -202,7 +212,7 @@ def psd_nullspace(m) -> np.ndarray:
     """Orthonormal basis (as columns, possibly zero of them) of the numerical
     null space of a positive-semidefinite matrix.
 
-    Eigenvalues at or below tol * max(1, ||M||_1) count as zero, with the
+    Eigenvalues at or below threshold(tol, ||M||_1) count as zero, with the
     package's null-space threshold tol; an eigenvalue below -tol * ||M||_1
     raises IndefiniteMatrixError.
     """

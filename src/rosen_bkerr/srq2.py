@@ -57,8 +57,6 @@ __all__ = [
     "solve",
 ]
 
-_PSD_TOL = 1e-12
-_EPS_FLOOR = 1e-12
 _SHIFT_SLACK = 1e-14
 # Newton steps take over from the SCF sweeps once the residual against the
 # smallest eigenvalue of H(x) is at most this (see ``scf_solve``).  With
@@ -124,16 +122,18 @@ class Srq2Problem:
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
-        # one eigvalsh of A3 serves A3 and both denominator matrices
+        # one eigvalsh of A3 serves A3 and both denominator matrices; the
+        # zero thresholds of the quotient rule serve a1, a2, b1 and b2
+        a3_eps = linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a3))
         checks = (
-            ("a1", self.a1, float(np.linalg.eigvalsh(self.a1)[0])),
-            ("a2", self.a2, float(np.linalg.eigvalsh(self.a2)[0])),
-            ("a3", self.a3, self._a3_range[0]),
-            ("denominator matrix 1", self.b1, self._smallest_eig(self.alpha1, self.beta1)),
-            ("denominator matrix 2", self.b2, self._smallest_eig(self.alpha2, self.beta2)),
+            ("a1", self.num_eps1, float(np.linalg.eigvalsh(self.a1)[0])),
+            ("a2", self.num_eps2, float(np.linalg.eigvalsh(self.a2)[0])),
+            ("a3", a3_eps, self._a3_range[0]),
+            ("denominator matrix 1", self.den_eps1, self._smallest_eig(self.alpha1, self.beta1)),
+            ("denominator matrix 2", self.den_eps2, self._smallest_eig(self.alpha2, self.beta2)),
         )
-        for name, m, wmin in checks:
-            if wmin < -_PSD_TOL * max(1.0, linalg.norm1(m)):
+        for name, eps, wmin in checks:
+            if wmin < -eps:
                 raise ValueError(
                     f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
                 )
@@ -154,7 +154,7 @@ class Srq2Problem:
     def common_null_ok(self) -> bool:
         s = self.b1 + self.b2
         wmin = self._smallest_eig(self.alpha1 + self.alpha2, self.beta1 + self.beta2)
-        return bool(wmin > _PSD_TOL * max(1.0, linalg.norm1(s)))
+        return bool(wmin > linalg.threshold(linalg.ZERO_TOL, linalg.norm1(s)))
 
     @property
     def n(self) -> int:
@@ -170,19 +170,19 @@ class Srq2Problem:
 
     @cached_property
     def den_eps1(self) -> float:
-        return _EPS_FLOOR * max(1.0, linalg.norm1(self.b1))
+        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.b1))
 
     @cached_property
     def den_eps2(self) -> float:
-        return _EPS_FLOOR * max(1.0, linalg.norm1(self.b2))
+        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.b2))
 
     @cached_property
     def num_eps1(self) -> float:
-        return _EPS_FLOOR * max(1.0, linalg.norm1(self.a1))
+        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a1))
 
     @cached_property
     def num_eps2(self) -> float:
-        return _EPS_FLOOR * max(1.0, linalg.norm1(self.a2))
+        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a2))
 
     @cached_property
     def stacked(self) -> np.ndarray:
@@ -451,7 +451,8 @@ def _newton_step(problem, p: _Point, res: _Residual):
     if not np.all(np.isfinite(v)):
         return None
     cand = _point(problem, linalg.fix_phase(linalg.normalize(x + (v[:n] + 1j * v[n:m]))))
-    if not (cand.smooth and cand.value <= p.value + _EPS_FLOOR * max(1.0, abs(p.value))):
+    noise = linalg.threshold(linalg.ZERO_TOL, abs(p.value))
+    if not (cand.smooth and cand.value <= p.value + noise):
         return None
     cand_res = _residual(problem, cand)
     if not cand_res.rel < res.rel:
@@ -598,7 +599,7 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
             w, vecs = np.linalg.eigh(res.h)
         delta = float(w[1] - w[0]) if w.size > 1 else 0.0
         if delta <= 1e-14:
-            delta = max(1e-8, 1e-8 * res.norm1)
+            delta = linalg.threshold(1e-8, res.norm1)
         z = None
         for t in range(_MAX_SHIFT_TRIES):
             if t == 0:
@@ -688,7 +689,7 @@ def _pick_best(candidates: list[Srq2Solution]) -> Srq2Solution:
     of the best value, prefer converged ones, then lower residual, then the
     lexicographically smallest phase-fixed vector (for determinism)."""
     best = min(c.value for c in candidates)
-    tie = best + _EPS_FLOOR * max(1.0, abs(best))
+    tie = best + linalg.threshold(linalg.ZERO_TOL, abs(best))
     pool = [c for c in candidates if c.value <= tie]
 
     def key(sol: Srq2Solution) -> tuple:

@@ -240,6 +240,28 @@ def test_certify_rejects_malformed_result(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "command, shift", [("compute", 1e300), ("compute", 1e160), ("certify", 1e300)]
+)
+def test_overflowing_shift_is_an_input_error(tmp_path, capsys, command, shift):
+    # S(lambda) or the Gram matrices of its block rows overflow at these shifts
+    system = random_system(np.random.default_rng(5), r=2, n=3, d=1)
+    sys_path = write_system(tmp_path, system)
+    out_path = tmp_path / "result.json"
+    args = ["--system", str(sys_path), "--pattern", "BC", "--out", str(out_path)]
+    if command == "compute":
+        code = cli.main(["compute", *args, "--lambda", f"{shift:.1e}+0.0i"])
+    else:
+        assert cli.main(["compute", *args, "--lambda", "0.3+0.4i"]) == 0
+        doc = {**json.loads(out_path.read_text()), "lambda": [shift, 0.0]}
+        out_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["certify", "--system", str(sys_path), "--result", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compute_pencil_pattern_writes_no_solver_block(tmp_path):
     rng = np.random.default_rng(3)
     system = random_system(rng, r=2, n=2, d=1)

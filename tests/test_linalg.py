@@ -1,7 +1,9 @@
 """Kernel-level tests: eigen/pencil solvers against congruence and sampling
 oracles, null spaces against SVD ranks, and the minimal-map contract."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +228,47 @@ def test_smallest_singular_value_random_matches_svd():
 def test_norm1_conventions():
     assert linalg.norm1(np.zeros((0, 0))) == 0.0
     assert linalg.norm1(np.array([[1.0, -2.0], [3.0, 4.0]])) == 6.0
+
+
+def test_threshold_is_flat_below_scale_one_and_linear_above():
+    for scale in (0.0, 1e-300, 0.5, 1.0):
+        assert linalg.threshold(1e-12, scale) == 1e-12
+    for scale in (1.0, 3.0, 1e6, 1e300):
+        assert linalg.threshold(1e-12, scale) == 1e-12 * scale
+
+
+def _number(node):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    return None
+
+
+def _is_floor(node) -> bool:
+    """A call max(1, s), or max(c, c * s) with the same number c twice."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return False
+    if node.func.id != "max" or len(node.args) != 2:
+        return False
+    c, s = _number(node.args[0]), node.args[1]
+    if c is None:
+        return False
+    product = isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mult)
+    return c == 1 or (product and c in (_number(s.left), _number(s.right)))
+
+
+def test_threshold_is_the_only_floor_in_the_package():
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(n)
+            for rule in tree.body
+            if path.name == "linalg.py" and getattr(rule, "name", None) == "threshold"
+            for n in ast.walk(rule)
+        }
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if _is_floor(n) and id(n) not in allowed
+        ]
+    assert not found, f"floors outside linalg.threshold: {found}"
