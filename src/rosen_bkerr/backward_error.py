@@ -11,11 +11,11 @@ norm making lambda an exact eigenvalue.  Every pattern is computable:
   the sphere;
 * C, AC, BP, ACP follow by transposing the system and renaming blocks.
 
-``ROUTES`` is the one table of that pattern-to-route map, read by every
-function here; ``srq2_problem_for`` and the pencil data assemble a
-route's matrices on the system it solves on.  ``backward_error`` follows
-the pattern's route and attaches an independently recomputed
-certificate, which carries the minimal perturbation it reconstructs.
+``ROUTES`` is the one pattern-to-route map.  ``_shift`` alone evaluates a
+shift: its view holds the route, the error matrices of the system the route
+solves on, and the input's S(lambda) with its 1-norm, the one scale of the
+zero gate, reconstruction and the certificate.  ``backward_error`` follows
+the route and attaches a certificate that rebuilds the perturbation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,10 +228,32 @@ class BackwardErrorResult:
         return None if self.certificate is None else self.certificate.perturbation
 
 
-def _error_matrices(route: Route, system: RosenbrockSystem, lam) -> ErrorMatrices:
-    """Error matrices of the system the route solves on: the system itself,
-    or its transpose for a transposed route."""
-    return assemble_error_matrices(system.transpose() if route.transposed else system, lam)
+class _Shift(NamedTuple):
+    """One shift's view of a pattern: ``em`` belongs to the system the route
+    solves on, ``s`` is S(lam) of the input system and ``scale`` its 1-norm."""
+
+    pattern: PerturbationPattern
+    lam: complex
+    route: Route
+    em: ErrorMatrices
+    s: np.ndarray
+    scale: float
+
+
+def _shift(system: RosenbrockSystem, lam, pattern) -> _Shift:
+    """The view of (lam, pattern): one evaluation of S(lam), on the transpose
+    for a transposed route, whose S(lam)^T is the input's S(lam)."""
+    pattern = _as_pattern(pattern)
+    route = ROUTES[pattern.letters]
+    em = assemble_error_matrices(system.transpose() if route.transposed else system, lam)
+    s = em.s.T if route.transposed else em.s
+    return _Shift(pattern, complex(lam), route, em, s, linalg.norm1(s))
+
+
+def _srq2_problem(view: _Shift) -> srq2.Srq2Problem:
+    em, route = view.em, view.route
+    a2 = em.g2 / em.gamma if route.over_gamma else em.g2
+    return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
 
 
 def srq2_problem_for(system: RosenbrockSystem, lam, pattern) -> srq2.Srq2Problem:
@@ -238,13 +261,10 @@ def srq2_problem_for(system: RosenbrockSystem, lam, pattern) -> srq2.Srq2Problem
     minimization, assembled on the system its route solves on: the
     transpose for ACP, whose minimizers belong to the transposed system.
     A3 is always the trailing-coordinate projector."""
-    letters = _as_pattern(pattern).letters
-    route = ROUTES[letters]
-    if route.kind != METHOD_SRQ2:
-        raise ValueError(f"pattern {letters} does not reduce to a two-quotient minimization")
-    em = _error_matrices(route, system, lam)
-    a2 = em.g2 / em.gamma if route.over_gamma else em.g2
-    return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
+    view = _shift(system, lam, pattern)
+    if view.route.kind != METHOD_SRQ2:
+        raise ValueError(f"pattern {view.pattern} does not reduce to a two-quotient minimization")
+    return _srq2_problem(view)
 
 
 def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -252,27 +272,27 @@ def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def _pencil_data(route: Route, system: RosenbrockSystem, lam):
+def _pencil_data(view: _Shift):
     """Basis of the null space of the Gram matrix of the block row the
     pattern freezes, the pencil (M, N) restricted to it, the name of N, and
     the factor that turns the pencil's eigenvalue into eta^2."""
-    em = _error_matrices(route, system, lam)
+    em, route = view.em, view.route
     if "A" in route.inner or "B" in route.inner:  # C and P are frozen
         basis, numerator, v = linalg.psd_nullspace(em.g2), em.g1, "V"
     else:  # A and B are frozen
         basis, numerator, v = linalg.psd_nullspace(em.g1), em.g2, "U"
-    rhs = {"H1": em.h1, "H2": em.h2, "Hlam": em.h_lambda}.get(route.rhs)
+    rhs = {"H1": "h1", "H2": "h2", "Hlam": "h_lambda"}.get(route.rhs)
     if rhs is None:
         nmat = np.eye(basis.shape[1], dtype=np.complex128)
     else:
-        nmat = _restrict(rhs, basis)
+        nmat = _restrict(getattr(em, rhs), basis)
     scale = 1.0 / em.gamma if route.over_gamma else 1.0
     return basis, _restrict(numerator, basis), nmat, f"{v}*{route.rhs}{v}", scale
 
 
-def _solve_pencil(route: Route, system: RosenbrockSystem, lam):
+def _solve_pencil(view: _Shift):
     """(squared value, minimizer, infeasibility witness) of a pencil route."""
-    basis, m, nmat, rhs_name, scale = _pencil_data(route, system, lam)
+    basis, m, nmat, rhs_name, scale = _pencil_data(view)
     if linalg.norm1(nmat) <= linalg.threshold(linalg.ZERO_TOL, basis.shape[1]):
         return math.inf, None, f"{rhs_name} = 0"
     value, y = linalg.semidefinite_pencil_smallest(m, nmat)
@@ -297,23 +317,18 @@ def backward_error(
     transposed route solves its inner pattern on the transposed system;
     the perturbation is mapped back and certified on the original system.
     """
-    pattern = _as_pattern(pattern)
-    lam = complex(lam)
-    route = ROUTES[pattern.letters]
-    s_mat = system.evaluate(lam)
+    view = _shift(system, lam, pattern)
+    route = view.route
     solver = witness = None
-    zero_gate = linalg.threshold(linalg.ZERO_TOL, linalg.norm1(s_mat))
-    if linalg.smallest_singular_value(s_mat) <= zero_gate:
+    if linalg.smallest_singular_value(view.s) <= linalg.threshold(linalg.ZERO_TOL, view.scale):
         method = METHOD_ZERO_EIGENVALUE
-        value, x = 0.0, linalg.fix_phase(np.linalg.svd(s_mat)[2][-1].conj())
+        value, x = 0.0, linalg.fix_phase(np.linalg.svd(view.s)[2][-1].conj())
     else:
         method = f"transposed_{route.kind}" if route.transposed else route.kind
         if route.kind == METHOD_PENCIL:
-            value, x, witness = _solve_pencil(route, system, lam)
+            value, x, witness = _solve_pencil(view)
         else:
-            solver = srq2.solve(
-                srq2_problem_for(system, lam, pattern), restarts=restarts, seed=seed, tol=tol
-            )
+            solver = srq2.solve(_srq2_problem(view), restarts=restarts, seed=seed, tol=tol)
             value, x = solver.value, solver.x
             if not math.isfinite(value):
                 value, x = math.inf, None
@@ -324,8 +339,8 @@ def backward_error(
         eta=math.sqrt(max(value, 0.0)),
         x=x,
         method=method,
-        pattern=pattern,
-        lam=lam,
+        pattern=view.pattern,
+        lam=view.lam,
         solver=solver,
         infeasibility_witness=witness,
     )
@@ -373,17 +388,15 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Rosen
     interpreted against the transposed system and the perturbation is
     mapped back.
     """
-    route = ROUTES[_as_pattern(pattern).letters]
-    work = system.transpose() if route.transposed else system
-    lam = complex(lam)
-    r, n, d = work.r, work.n, work.d
+    view = _shift(system, lam, pattern)
+    route, lam, s_mat, r = view.route, view.lam, view.em.s, view.em.r
+    n, d = s_mat.shape[0] - r, system.d
     x = np.asarray(x, dtype=np.complex128).ravel()
     if x.size != r + n:
         raise ValueError(f"minimizer must have length {r + n}")
     x = linalg.normalize(x)
     x1, x2 = x[:r], x[r:]
-    s_mat = work.evaluate(lam)
-    res_tol = linalg.threshold(_FEAS_TOL, linalg.norm1(s_mat))
+    res_tol = linalg.threshold(_FEAS_TOL, view.scale)
     trailing = np.concatenate([(lam**j) * x2 for j in range(d + 1)])
     dA, dB = _row_maps(s_mat[:r] @ x, {"A": x1, "B": x2}, route.inner, res_tol)
     dC, dP = _row_maps(s_mat[r:] @ x, {"C": x1, "P": trailing}, route.inner, res_tol)
@@ -402,13 +415,11 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     value of the perturbed evaluation, and recompute the stationarity or
     pencil residual for the route the pattern takes.  Passes only when every
     check meets its bound."""
-    pattern = _as_pattern(result.pattern)
-    lam = complex(result.lam)
-    s_mat = system.evaluate(lam)
-    smin_bound = linalg.threshold(_FEAS_TOL, linalg.norm1(s_mat))
+    view = _shift(system, result.lam, result.pattern)
+    smin_bound = linalg.threshold(_FEAS_TOL, view.scale)
 
     if result.method == METHOD_ZERO_EIGENVALUE:
-        smin = linalg.smallest_singular_value(s_mat)
+        smin = linalg.smallest_singular_value(view.s)
         checks = (
             _check("sigma_min of the unperturbed evaluation", smin, smin_bound),
             _check("eta equals the zero perturbation's norm", abs(result.eta), 0.0),
@@ -419,25 +430,24 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
         raise ValueError("certify requires a finite result carrying a minimizer")
 
     try:
-        delta = reconstruct_perturbation(system, lam, pattern, result.x)
+        delta = reconstruct_perturbation(system, view.lam, view.pattern, result.x)
     except ReconstructionError as exc:
         return Certificate((), None, math.nan, failure=str(exc))
 
     eta = result.eta
     delta_norm = delta.norm()
     norm_match = abs(delta_norm - eta) / eta if eta > 0.0 else abs(delta_norm)
-    smin = linalg.smallest_singular_value((system - delta).evaluate(lam))
+    smin = linalg.smallest_singular_value((system - delta).evaluate(view.lam))
     checks = [
         _check("perturbation norm matches eta (relative)", norm_match, _NORM_MATCH_TOL),
         _check("sigma_min of the perturbed evaluation", smin, smin_bound),
     ]
 
-    route = ROUTES[pattern.letters]
     x = np.asarray(result.x, dtype=np.complex128).ravel()
     nepv_residual = pencil_residual = None
-    if route.kind == METHOD_SRQ2:
+    if view.route.kind == METHOD_SRQ2:
         try:
-            info = srq2.nepv_residuals(srq2_problem_for(system, lam, pattern), x)
+            info = srq2.nepv_residuals(_srq2_problem(view), x)
         except srq2.NondifferentiablePointError:
             info = None
         if info is not None:
@@ -446,7 +456,7 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
                 _check("stationarity residual (relative)", nepv_residual, _NEPV_CERT_TOL)
             )
     else:
-        basis, m, nmat, _, scale = _pencil_data(route, system, lam)
+        basis, m, nmat, _, scale = _pencil_data(view)
         y = basis.conj().T @ x
         mu = eta**2 / scale
         pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))

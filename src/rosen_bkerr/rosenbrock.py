@@ -6,13 +6,14 @@ A system couples a first-order pencil with a matrix polynomial:
             [C,       P(z)]],      P(z) = sum_j z^j poly_coeffs[j],
 
 with A of order r, P of order n and degree d.  ``assemble_error_matrices``
-packages, for a fixed shift, the Gram matrices of the two block rows of
-S(lambda) together with the coordinate projectors and the polynomial
-weight gamma that every backward-error formula consumes.
+packages, for a fixed shift, S(lambda), the Gram matrices of its block
+rows, the coordinate projectors and the polynomial weight gamma that
+every backward-error formula consumes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,33 @@ class RosenbrockSystem:
 
 @dataclass(frozen=True)
 class ErrorMatrices:
-    """Shift-dependent Hermitian data: g1 and g2 are the Gram matrices of the
-    two block rows of S(lam), h1 and h2 the complementary coordinate
-    projectors onto the leading r and trailing n coordinates, and gamma the
-    weight sum_j |lam|^(2j)."""
+    """Shift-dependent data of s = S(lam) and the weight gamma = sum_j
+    |lam|^(2j).  Formed from s on each read, so that none outlives its
+    reader: g1 and g2, the Gram matrices of its two block rows, and h1 and
+    h2, the complementary projectors onto the leading r and trailing n
+    coordinates."""
 
-    g1: np.ndarray
-    g2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
+    s: np.ndarray
+    r: int
     gamma: float
+
+    @property
+    def g1(self) -> np.ndarray:
+        row1 = self.s[: self.r]
+        return _frozen(linalg.hermitian_part(row1.conj().T @ row1, "g1"))
+
+    @property
+    def g2(self) -> np.ndarray:
+        row2 = self.s[self.r :]
+        return _frozen(linalg.hermitian_part(row2.conj().T @ row2, "g2"))
+
+    @property
+    def h1(self) -> np.ndarray:
+        return _frozen(np.diag(np.arange(self.s.shape[0]) < self.r).astype(np.complex128))
+
+    @property
+    def h2(self) -> np.ndarray:
+        return _frozen(np.diag(np.arange(self.s.shape[0]) >= self.r).astype(np.complex128))
 
     @property
     def h_lambda(self) -> np.ndarray:
@@ -146,22 +164,13 @@ class ErrorMatrices:
 
 
 def assemble_error_matrices(system: RosenbrockSystem, lam) -> ErrorMatrices:
+    """One evaluation of S(lam); raises ValueError when gamma overflows."""
     lam = complex(lam)
-    r, n = system.r, system.n
-    s_mat = system.evaluate(lam)
-    row1, row2 = s_mat[:r], s_mat[r:]
-    g1 = linalg.hermitian_part(row1.conj().T @ row1, "g1")
-    g2 = linalg.hermitian_part(row2.conj().T @ row2, "g2")
-    diag = np.zeros(r + n)
-    diag[:r] = 1.0
-    h1 = np.diag(diag).astype(np.complex128)
-    h2 = np.eye(r + n, dtype=np.complex128) - h1
-    t = abs(lam) ** 2
-    gamma = float(sum(t**j for j in range(system.d + 1)))
-    return ErrorMatrices(
-        g1=_frozen(g1),
-        g2=_frozen(g2),
-        h1=_frozen(h1),
-        h2=_frozen(h2),
-        gamma=gamma,
-    )
+    try:
+        t = abs(lam) ** 2
+        gamma = float(sum(t**j for j in range(system.d + 1)))
+    except OverflowError:  # |lam|^2 overflows; gamma = 1 at degree 0
+        gamma = math.inf if system.d else 1.0
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma = sum_j |lam|^(2j) overflows at |lam| = {abs(lam):.3e}")
+    return ErrorMatrices(s=_frozen(system.evaluate(lam)), r=system.r, gamma=gamma)

@@ -11,6 +11,7 @@ import pytest
 from rosen_bkerr import linalg, srq2
 from rosen_bkerr.backward_error import (
     ROUTES,
+    BackwardErrorResult,
     PerturbationPattern,
     all_patterns,
     backward_error,
@@ -18,7 +19,7 @@ from rosen_bkerr.backward_error import (
     reconstruct_perturbation,
     srq2_problem_for,
 )
-from rosen_bkerr.rosenbrock import RosenbrockSystem, assemble_error_matrices
+from rosen_bkerr.rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
 from support import direct_backward_error, random_system, refined_eigenvalues
 
 from dataclasses import replace
@@ -335,6 +336,51 @@ def test_reconstruct_infeasible_point_raises():
         reconstruct_perturbation(system, 0.7, "A", x)
 
 
+def test_reconstruct_tolerance_reads_the_input_norm():
+    # One heavy column: ||S||_1 = 200.3 > ||S||_inf = 102.3 at lam = 0.2.
+    # Pattern C is pattern B on the transpose, whose frozen second block row
+    # [B^T, P^T] must be annihilated by x to 1e-8 * ||S(lam)||_1, the scale of
+    # the zero gate and the certificate, not to 1e-8 * ||S(lam)^T||_1.
+    system = RosenbrockSystem(
+        A=[[0.5]], B=[[1.0, 2.0]], C=[[100.0], [100.0]], poly_coeffs=([[1.0, 0.5], [0.3, 2.0]],)
+    )
+    lam = 0.2
+    s_mat = system.evaluate(lam)
+    norm_1, norm_inf = np.linalg.norm(s_mat, 1), np.linalg.norm(s_mat, np.inf)
+    frozen = s_mat.T[1:]
+    _, _, vh = np.linalg.svd(frozen)
+    away = vh[0].conj() / np.linalg.norm(frozen @ vh[0].conj())
+    x = linalg.normalize(vh[2].conj() + 1.5e-6 * away)
+    residual = np.linalg.norm(frozen @ x)
+    assert 1e-8 * norm_inf < residual < 1e-8 * norm_1
+    delta = reconstruct_perturbation(system, lam, "C", x)
+    assert np.linalg.norm(delta.A) == np.linalg.norm(delta.B) == 0.0
+    assert all(np.linalg.norm(m) == 0.0 for m in delta.poly_coeffs)
+    assert np.linalg.norm(delta.C) > 0.0
+
+
+def _overflowing_gamma_system():
+    # S(1e100) and its Gram matrices are finite; gamma = 1 + 1e200 + 1e400 is not
+    rng = np.random.default_rng(0)
+    A, B, C, P0, P1 = (rng.standard_normal((2, 2)) for _ in range(5))
+    return RosenbrockSystem(A, B, C, (P0, P1, 1e-250 * rng.standard_normal((2, 2))))
+
+
+@pytest.mark.parametrize("call", ["backward_error", "srq2_problem_for", "certify"])
+def test_overflowing_gamma_is_a_value_error(call):
+    system, lam = _overflowing_gamma_system(), 1e100
+    s_mat = system.evaluate(lam)
+    assert np.all(np.isfinite(s_mat)) and np.all(np.isfinite(s_mat.conj().T @ s_mat))
+    with pytest.raises(ValueError, match="gamma"):
+        if call == "backward_error":
+            backward_error(system, lam, "A")
+        elif call == "srq2_problem_for":
+            srq2_problem_for(system, lam, "BC")
+        else:
+            pattern = PerturbationPattern.from_string("ABCP")
+            certify(system, BackwardErrorResult(1.0, np.ones(4), "srq2", pattern, lam))
+
+
 def test_reconstruct_supports_only_pattern_blocks():
     rng = np.random.default_rng(12)
     system = random_system(rng, r=2, n=2, d=1)
@@ -409,9 +455,24 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
         row_maps.append(args)
         return row_maps_fn(*args, **kwargs)
 
+    # the work per call: evaluations of S, transposes and Gram matrix builds
+    work = {"evaluate": 0, "transpose": 0, "g1": 0, "g2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(linalg, "smallest_singular_value", counting_smin)
     monkeypatch.setattr(_be, "certify", counting_certify)
     monkeypatch.setattr(_be, "_row_maps", counting_row_maps)
+    for name in ("evaluate", "transpose"):
+        monkeypatch.setattr(RosenbrockSystem, name, counted(name, getattr(RosenbrockSystem, name)))
+    for name in ("g1", "g2"):
+        build = getattr(ErrorMatrices, name).fget
+        monkeypatch.setattr(ErrorMatrices, name, property(counted(name, build)))
     result = _be.backward_error(system, lam, letters, restarts=2)
     assert result.method == (f"transposed_{route.kind}" if route.transposed else route.kind)
     assert result.transposed == route.transposed
@@ -422,6 +483,19 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     # one reconstruction (a map per block row), kept by the certificate
     assert len(row_maps) == 2
     assert result.perturbation is result.certificate.perturbation
+    # S(lambda) three times (solve, certify, reconstruction) and the
+    # perturbed system once; a transposed route transposes once per view
+    # and once more to map the perturbation back
+    assert work["evaluate"] <= 4
+    assert work["transpose"] <= 4 if route.transposed else work["transpose"] == 0
+    assert work["g1"] <= 2 and work["g2"] <= 2
+    # at an eigenvalue the zero gate decides: one view each in backward_error
+    # and certify, and no Gram matrix
+    eig = refined_eigenvalues(system)[0]
+    work.update(dict.fromkeys(work, 0))
+    assert _be.backward_error(system, eig, letters).method == "zero_eigenvalue"
+    assert work["evaluate"] == 2 and work["g1"] == work["g2"] == 0
+    assert work["transpose"] == (2 if route.transposed else 0)
 
 
 @pytest.mark.parametrize("letters", [p.letters for p in all_patterns()])

@@ -262,6 +262,30 @@ def test_overflowing_shift_is_an_input_error(tmp_path, capsys, command, shift):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["compute", "certify", "jnr"])
+def test_overflowing_gamma_is_an_input_error(tmp_path, capsys, command):
+    # at 1e100 a degree-2 system's S(lambda) and Gram matrices are finite,
+    # but gamma = 1 + |lambda|^2 + |lambda|^4 overflows
+    rng = np.random.default_rng(0)
+    A, B, C, P0, P1 = (rng.standard_normal((2, 2)) for _ in range(5))
+    system = RosenbrockSystem(A, B, C, (P0, P1, 1e-250 * rng.standard_normal((2, 2))))
+    sys_path = write_system(tmp_path, system)
+    out_path = tmp_path / "result.json"
+    args = ["--system", str(sys_path), "--pattern", "BC", "--out", str(out_path)]
+    if command == "certify":
+        assert cli.main(["compute", *args, "--lambda", "0.3+0.4i"]) == 0
+        doc = {**json.loads(out_path.read_text()), "lambda": [1e100, 0.0]}
+        out_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["certify", "--system", str(sys_path), "--result", str(out_path)])
+    else:
+        extra = ["--samples", "4"] if command == "jnr" else []
+        code = cli.main([command, *args, *extra, "--lambda", "1.0e100+0.0i"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma" in err
+
+
 def test_compute_pencil_pattern_writes_no_solver_block(tmp_path):
     rng = np.random.default_rng(3)
     system = random_system(rng, r=2, n=2, d=1)

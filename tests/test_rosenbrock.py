@@ -108,6 +108,7 @@ def test_gram_matrices_sum_to_full_gram():
     mats = assemble_error_matrices(system, lam)
     s = system.evaluate(lam)
     assert np.allclose(mats.g1 + mats.g2, s.conj().T @ s, atol=1e-12)
+    assert np.array_equal(mats.s, s)
 
 
 def test_gram_matrices_are_psd():
@@ -134,6 +135,14 @@ def test_gamma_weight_values():
     # |lam| = 1 and degree 2: 1 + 1 + 1
     assert assemble_error_matrices(system, 1j).gamma == pytest.approx(3.0)
     assert assemble_error_matrices(system, 2.0).gamma == pytest.approx(1 + 4 + 16)
+
+
+def test_gamma_overflow_is_a_value_error_above_degree_zero():
+    # |lam|^2 overflows at 1e200; gamma = 1 at degree 0 all the same
+    rng = np.random.default_rng(8)
+    assert assemble_error_matrices(random_system(rng, r=1, n=2, d=0), 1e200).gamma == 1.0
+    with pytest.raises(ValueError, match="gamma"):
+        assemble_error_matrices(random_system(rng, r=1, n=2, d=1), 1e200)
 
 
 def test_h_lambda_weighted_quadratic_form():
