@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, srq2
-from .rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
+from .rosenbrock import ErrorMatrices, RosenbrockSystem, _frozen, assemble_error_matrices
 
 __all__ = [
     "BackwardErrorResult",
@@ -241,11 +241,13 @@ class _Shift(NamedTuple):
 
 
 def _shift(system: RosenbrockSystem, lam, pattern) -> _Shift:
-    """The view of (lam, pattern): one evaluation of S(lam), on the transpose
-    for a transposed route, whose S(lam)^T is the input's S(lam)."""
+    """The view of (lam, pattern): one evaluation of S(lam); a transposed
+    route solves on a C-ordered copy of S(lam)^T, whose ``.T`` is ``s``."""
     pattern = _as_pattern(pattern)
     route = ROUTES[pattern.letters]
-    em = assemble_error_matrices(system.transpose() if route.transposed else system, lam)
+    em = assemble_error_matrices(system, lam)
+    if route.transposed:
+        em = replace(em, s=_frozen(em.s.T.copy()))
     s = em.s.T if route.transposed else em.s
     return _Shift(pattern, complex(lam), route, em, s, linalg.norm1(s))
 

@@ -164,8 +164,11 @@ class ErrorMatrices:
 
 
 def assemble_error_matrices(system: RosenbrockSystem, lam) -> ErrorMatrices:
-    """One evaluation of S(lam); raises ValueError when gamma overflows."""
+    """One evaluation of S(lam); raises ValueError when lam is not finite or
+    gamma overflows."""
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"the shift lam = {lam} is not finite")
     try:
         t = abs(lam) ** 2
         gamma = float(sum(t**j for j in range(system.d + 1)))

@@ -28,7 +28,7 @@ the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -94,13 +94,12 @@ class CommonNullViolationError(ValueError):
 
 @dataclass(frozen=True)
 class Srq2Problem:
-    """Validated quotient data.
-
-    Construction symmetrizes the three matrices and verifies they and both
-    denominator matrices alpha_i I + beta_i A3 are positive semidefinite;
-    ``common_null_ok`` says whether the denominators have no common null
-    vector (the sum of the two is positive definite).
-    """
+    """Validated quotient data, held once: ``a1``, ``a2`` and ``a3``,
+    symmetrized, are the row blocks of the one read-only array ``stacked``
+    that batch code multiplies by.  Construction verifies they and both
+    denominators b_i = alpha_i I + beta_i A3 (formed on each read) are
+    positive semidefinite; ``common_null_ok`` says whether the denominators
+    have no common null vector (their sum is positive definite)."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -109,14 +108,20 @@ class Srq2Problem:
     beta1: float
     alpha2: float
     beta2: float
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            h = linalg.hermitian_part(getattr(self, name), name)
-            h.setflags(write=False)
-            object.__setattr__(self, name, h)
-        if not (self.a1.shape == self.a2.shape == self.a3.shape):
+        blocks = [linalg.hermitian_part(getattr(self, k), k) for k in ("a1", "a2", "a3")]
+        if not (blocks[0].shape == blocks[1].shape == blocks[2].shape):
             raise ValueError("a1, a2, a3 must share one shape")
+        if blocks[0].size == 0:
+            raise ValueError("a1, a2, a3 must be nonempty")
+        stacked = np.concatenate(blocks)
+        stacked.setflags(write=False)
+        n = stacked.shape[1]
+        views = (stacked, stacked[:n], stacked[n : 2 * n], stacked[2 * n :])
+        for name, value in zip(("stacked", "a1", "a2", "a3"), views):
+            object.__setattr__(self, name, value)
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
             val = float(getattr(self, name))
             if not math.isfinite(val):
@@ -160,11 +165,11 @@ class Srq2Problem:
     def n(self) -> int:
         return self.a1.shape[0]
 
-    @cached_property
+    @property
     def b1(self) -> np.ndarray:
         return self.alpha1 * np.eye(self.n) + self.beta1 * self.a3
 
-    @cached_property
+    @property
     def b2(self) -> np.ndarray:
         return self.alpha2 * np.eye(self.n) + self.beta2 * self.a3
 
@@ -183,11 +188,6 @@ class Srq2Problem:
     @cached_property
     def num_eps2(self) -> float:
         return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a2))
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """a1, a2, a3 stacked row-wise; lets batch code use one matmul."""
-        return np.vstack((self.a1, self.a2, self.a3))
 
 
 def _block_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -381,6 +381,18 @@ def test_overflowing_gamma_is_a_value_error(call):
             certify(system, BackwardErrorResult(1.0, np.ones(4), "srq2", pattern, lam))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_shift_is_rejected_by_name(lam, d):
+    # rejected before gamma is formed: no overflow message, no numpy warning
+    system = random_system(np.random.default_rng(3), r=2, n=3, d=d)
+    with pytest.raises(ValueError, match=r"the shift lam = .* is not finite"):
+        backward_error(system, lam, "A")
+    with pytest.raises(ValueError, match=r"the shift lam = .* is not finite"):
+        srq2_problem_for(system, lam, "BC")
+
+
 def test_reconstruct_supports_only_pattern_blocks():
     rng = np.random.default_rng(12)
     system = random_system(rng, r=2, n=2, d=1)
@@ -484,18 +496,30 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     assert len(row_maps) == 2
     assert result.perturbation is result.certificate.perturbation
     # S(lambda) three times (solve, certify, reconstruction) and the
-    # perturbed system once; a transposed route transposes once per view
-    # and once more to map the perturbation back
+    # perturbed system once; a transposed route transposes S(lambda), not
+    # the system, and the system once, to map the perturbation back
     assert work["evaluate"] <= 4
-    assert work["transpose"] <= 4 if route.transposed else work["transpose"] == 0
+    assert work["transpose"] <= 1 if route.transposed else work["transpose"] == 0
     assert work["g1"] <= 2 and work["g2"] <= 2
     # at an eigenvalue the zero gate decides: one view each in backward_error
-    # and certify, and no Gram matrix
+    # and certify, and no Gram matrix and no transposed system
     eig = refined_eigenvalues(system)[0]
     work.update(dict.fromkeys(work, 0))
     assert _be.backward_error(system, eig, letters).method == "zero_eigenvalue"
     assert work["evaluate"] == 2 and work["g1"] == work["g2"] == 0
-    assert work["transpose"] == (2 if route.transposed else 0)
+    assert work["transpose"] == 0
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_transposed_view_is_the_transposed_evaluation(d):
+    system = random_system(np.random.default_rng(23), r=2, n=3, d=d)
+    lam = 0.3 + 0.4j
+    view = _be._shift(system, lam, "ACP")
+    expected = system.transpose().evaluate(lam)
+    assert view.em.s.tobytes() == expected.tobytes() and view.em.s.flags.c_contiguous
+    assert not view.em.s.flags.writeable
+    assert view.s.tobytes() == system.evaluate(lam).tobytes()
+    assert view.scale == linalg.norm1(expected.T)
 
 
 @pytest.mark.parametrize("letters", [p.letters for p in all_patterns()])

@@ -73,6 +73,11 @@ def test_objective_at_reference_minimizer():
 
 def test_problem_validation():
     eye = np.eye(2)
+    problem = srq2.Srq2Problem(eye, 2.0 * eye, eye, 1.0, 0.0, 1.0, 0.0)
+    # the three matrices are read-only row blocks of the one stacked array
+    for mat, given in zip((problem.a1, problem.a2, problem.a3), (eye, 2.0 * eye, eye)):
+        assert np.shares_memory(mat, problem.stacked) and not mat.flags.writeable
+        assert np.array_equal(mat, given)
     with pytest.raises(ValueError):
         srq2.Srq2Problem(-eye, eye, eye, 1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -80,6 +85,9 @@ def test_problem_validation():
         srq2.Srq2Problem(eye, eye, eye, 0.0, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         srq2.Srq2Problem(eye, eye, np.eye(3), 1.0, 0.0, 1.0, 0.0)
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="must be nonempty"):
+        srq2.Srq2Problem(empty, empty, empty, 1.0, 0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
