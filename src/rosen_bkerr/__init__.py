@@ -36,6 +36,7 @@ from .linalg import (
     IndefiniteMatrixError,
     InfeasibleMapError,
     NotPositiveDefiniteError,
+    ZeroPencilError,
 )
 from .rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
 from .srq2 import (
@@ -70,6 +71,7 @@ __all__ = [
     "RosenbrockSystem",
     "Srq2Problem",
     "Srq2Solution",
+    "ZeroPencilError",
     "all_patterns",
     "assemble_error_matrices",
     "backward_error",

@@ -191,7 +191,7 @@ class Certificate:
         return math.nan if self.perturbation is None else self.perturbation.norm()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardErrorResult:
     """Backward error ``eta`` (may be +inf) with its minimizer and audit data.
 
@@ -295,9 +295,10 @@ def _pencil_data(view: _Shift):
 def _solve_pencil(view: _Shift):
     """(squared value, minimizer, infeasibility witness) of a pencil route."""
     basis, m, nmat, rhs_name, scale = _pencil_data(view)
-    if linalg.norm1(nmat) <= linalg.threshold(linalg.ZERO_TOL, basis.shape[1]):
+    try:
+        value, y = linalg.semidefinite_pencil_smallest(m, nmat)
+    except linalg.ZeroPencilError:
         return math.inf, None, f"{rhs_name} = 0"
-    value, y = linalg.semidefinite_pencil_smallest(m, nmat)
     return scale * value, linalg.fix_phase(linalg.normalize(basis @ y)), None
 
 

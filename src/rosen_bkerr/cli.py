@@ -193,10 +193,8 @@ def result_to_document(result: BackwardErrorResult) -> dict:
     if cert is not None:
         certificates = {
             "passed": cert.passed,
-            "deltaNorm": None if math.isnan(cert.delta_norm) else cert.delta_norm,
-            "sigmaMinPerturbed": None
-            if math.isnan(cert.sigma_min_perturbed)
-            else cert.sigma_min_perturbed,
+            "deltaNorm": cert.delta_norm,
+            "sigmaMinPerturbed": cert.sigma_min_perturbed,
             "nepvResidual": cert.nepv_residual,
             "pencilResidual": cert.pencil_residual,
             "failure": cert.failure,
@@ -205,31 +203,43 @@ def result_to_document(result: BackwardErrorResult) -> dict:
                 for c in cert.checks
             ],
         }
-    return {
+    return _json_safe({
         "schemaVersion": SCHEMA_VERSION,
         "pattern": result.pattern.letters,
         "lambda": [result.lam.real, result.lam.imag],
-        "eta": "inf" if math.isinf(result.eta) else result.eta,
+        "eta": result.eta,
         "method": result.method,
         "transposed": result.transposed,
         "x": None if result.x is None else _vector_to_pairs(result.x),
         "infeasibilityWitness": result.infeasibility_witness,
         "certificates": certificates,
         "solver": None if result.solver is None else _solver_document(result.solver),
-    }
+    })
 
 
 def _solver_document(sol: srq2.Srq2Solution) -> dict:
     return {
         "iterations": sol.iterations,
-        "residual": None if math.isnan(sol.rel_residual) else sol.rel_residual,
+        "residual": sol.rel_residual,
         "shiftsUsed": list(sol.shifts_used),
         "converged": sol.converged,
     }
 
 
+def _json_safe(value):
+    """``value`` with every float made valid JSON: NaN becomes None and
+    +-inf the strings "inf" and "-inf", inside dicts and lists too."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, out_path) -> None:
@@ -281,10 +291,6 @@ def cmd_compute(args) -> int:
     return EXIT_OK if (result.converged and certified) else EXIT_NOT_CERTIFIED
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
-
-
 def cmd_jnr(args) -> int:
     _check_solver_flags(args)
     if args.samples < 1:
@@ -308,7 +314,7 @@ def cmd_jnr(args) -> int:
     lines = ["vx,vy,vz,y1,y2,y3,support"]
     for p in points:
         fields = [*p.direction, *p.point, p.support_value]
-        lines.append(",".join(_float_repr(v) for v in fields))
+        lines.append(",".join(repr(float(v)) for v in fields))
     csv_text = "\n".join(lines) + "\n"
     _write_output(csv_text, args.out)
 
@@ -316,15 +322,14 @@ def cmd_jnr(args) -> int:
     y_star = jnr.rho(matrices, solution.x)
     # g(rho(w)) = f(w) at a unit witness w
     boundary_min = min(srq2.objective(problem, p.witness) for p in points)
-    gap = solution.smallest_eig_gap
-    sidecar = {
+    sidecar = _json_safe({
         "schemaVersion": SCHEMA_VERSION,
         "objectiveAtSolution": solution.value,
         "rhoAtSolution": [float(v) for v in y_star],
-        "supportGap": None if math.isnan(gap) else gap,
+        "supportGap": solution.smallest_eig_gap,
         "boundaryObjectiveGap": boundary_min - solution.value,
         "solver": _solver_document(solution),
-    }
+    })
     meta_path = None if args.out is None else f"{args.out}.meta.json"
     _write_output(serialize_document(sidecar), meta_path)
     return EXIT_OK

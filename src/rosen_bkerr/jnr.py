@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JnrPoint:
     """A sampled boundary point: the probing direction, the attained image
     point, the support value (their inner product), and the unit witness
@@ -92,7 +92,7 @@ def boundary_sample(matrices, directions) -> list[JnrPoint]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityCertificate:
     """First-order optimality data at a point x: the weights v of the
     stationarity matrix H(x) = v1 A1 + v2 A2 + v3 A3, which are the

@@ -5,6 +5,9 @@ pencils, positive-semidefinite null spaces, minimal Frobenius-norm linear
 maps, and smallest singular values, all with numpy alone (one BLAS).  All
 functions accept array-likes, promote to complex128, reject non-finite
 input, and treat nominally Hermitian matrices defensively by symmetrizing.
+
+Each matrix verdict is made here once: ``require_psd`` decides "positive
+semidefinite", ``semidefinite_pencil_smallest`` "zero right-hand side".
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ __all__ = [
     "InfeasibleMapError",
     "NotPositiveDefiniteError",
     "ZERO_TOL",
+    "ZeroPencilError",
     "as_complex_matrix",
     "as_complex_vector",
     "definite_pencil_smallest",
@@ -26,6 +30,7 @@ __all__ = [
     "norm1",
     "normalize",
     "psd_nullspace",
+    "require_psd",
     "semidefinite_pencil_smallest",
     "smallest_singular_value",
     "threshold",
@@ -45,6 +50,10 @@ class EigenConvergenceError(RuntimeError):
 
 class NotPositiveDefiniteError(ValueError):
     """A matrix required to be positive definite failed its factorization."""
+
+
+class ZeroPencilError(NotPositiveDefiniteError):
+    """A semidefinite pencil's right-hand side is numerically zero."""
 
 
 class IndefiniteMatrixError(ValueError):
@@ -87,6 +96,15 @@ def threshold(tol: float, scale: float) -> float:
     """The package's one rule for "numerically zero": tol * max(1, scale),
     absolute below scale 1 and relative to scale above it."""
     return tol * max(1.0, scale)
+
+
+def require_psd(wmin: float, scale: float, name: str) -> None:
+    """The package's one PSD verdict: IndefiniteMatrixError unless the smallest
+    eigenvalue ``wmin`` is at least -ZERO_TOL times the 1-norm ``scale``."""
+    if wmin < -ZERO_TOL * scale:
+        raise IndefiniteMatrixError(
+            f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
+        )
 
 
 def normalize(v) -> np.ndarray:
@@ -154,14 +172,11 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
 def _psd_split(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of the Hermitian positive-semidefinite M (as columns)
     and the mask of its numerically zero eigenvalues: those at or below
-    threshold(tol, ||M||_1).  An eigenvalue below -tol * ||M||_1 raises
-    IndefiniteMatrixError."""
+    threshold(_NULL_TOL, ||M||_1).  ``require_psd`` judges its smallest
+    eigenvalue."""
     w, V = np.linalg.eigh(M)
     scale = norm1(M)
-    if w.size and w[0] < -_NULL_TOL * scale:
-        raise IndefiniteMatrixError(
-            f"{name} has eigenvalue {w[0]:.3e} below -tol*norm1 = {-_NULL_TOL * scale:.3e}"
-        )
+    require_psd(float(w[0]) if w.size else 0.0, scale, name)
     return V, w <= threshold(_NULL_TOL, scale)
 
 
@@ -175,7 +190,8 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     subspace of N; that requires M restricted to null(N) to be positive
     definite (otherwise NotPositiveDefiniteError).  The returned y
     satisfies M y = value * N y, and value is the Rayleigh quotient
-    y*My / y*Ny of that y.
+    y*My / y*Ny of that y.  A right-hand side with no eigenvalue above the
+    null-space threshold, the empty one included, raises ZeroPencilError.
     """
     M = hermitian_part(m, "pencil left-hand side")
     N = hermitian_part(n, "pencil right-hand side")
@@ -183,7 +199,7 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
         raise ValueError(f"pencil shapes differ: {M.shape} vs {N.shape}")
     W, null = _psd_split(N, "pencil right-hand side")
     if null.all():
-        raise NotPositiveDefiniteError("pencil right-hand side is numerically zero")
+        raise ZeroPencilError("pencil right-hand side is numerically zero")
     if not null.any():
         return definite_pencil_smallest(M, N)
     P = W[:, ~null]
@@ -212,9 +228,8 @@ def psd_nullspace(m) -> np.ndarray:
     """Orthonormal basis (as columns, possibly zero of them) of the numerical
     null space of a positive-semidefinite matrix.
 
-    Eigenvalues at or below threshold(tol, ||M||_1) count as zero, with the
-    package's null-space threshold tol; an eigenvalue below -tol * ||M||_1
-    raises IndefiniteMatrixError.
+    Eigenvalues at or below threshold(_NULL_TOL, ||M||_1) count as zero;
+    ``require_psd`` judges the smallest.
     """
     V, null = _psd_split(hermitian_part(m), "matrix")
     return V[:, null].copy()

@@ -28,7 +28,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RosenbrockSystem:
     """Immutable container for the blocks A (r x r), B (r x n), C (n x r)
     and the d+1 polynomial coefficients (each n x n).  A blockwise
@@ -127,7 +127,7 @@ class RosenbrockSystem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorMatrices:
     """Shift-dependent data of s = S(lam) and the weight gamma = sum_j
     |lam|^(2j).  Formed from s on each read, so that none outlives its

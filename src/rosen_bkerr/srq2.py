@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,14 +91,16 @@ class CommonNullViolationError(ValueError):
     degenerate-candidate search cannot handle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Srq2Problem:
     """Validated quotient data, held once: ``a1``, ``a2`` and ``a3``,
     symmetrized, are the row blocks of the one read-only array ``stacked``
-    that batch code multiplies by.  Construction verifies they and both
-    denominators b_i = alpha_i I + beta_i A3 (formed on each read) are
-    positive semidefinite; ``common_null_ok`` says whether the denominators
-    have no common null vector (their sum is positive definite)."""
+    that batch code multiplies by; b_i = alpha_i I + beta_i A3 are formed
+    on each read.  Construction takes each matrix's 1-norm once, for
+    ``linalg.require_psd``'s verdict on a1, a2, a3, b1 and b2 and for the
+    zero thresholds ``num_eps*``/``den_eps*`` of the quotient rule; one
+    eigvalsh of A3 gives the spectra of b1, b2 and their sum, whose
+    definiteness ``common_null_ok`` records (no common null vector)."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -108,7 +109,12 @@ class Srq2Problem:
     beta1: float
     alpha2: float
     beta2: float
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    stacked: np.ndarray = field(init=False, repr=False)
+    num_eps1: float = field(init=False, repr=False)
+    num_eps2: float = field(init=False, repr=False)
+    den_eps1: float = field(init=False, repr=False)
+    den_eps2: float = field(init=False, repr=False)
+    common_null_ok: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = [linalg.hermitian_part(getattr(self, k), k) for k in ("a1", "a2", "a3")]
@@ -117,6 +123,7 @@ class Srq2Problem:
         if blocks[0].size == 0:
             raise ValueError("a1, a2, a3 must be nonempty")
         stacked = np.concatenate(blocks)
+        del blocks
         stacked.setflags(write=False)
         n = stacked.shape[1]
         views = (stacked, stacked[:n], stacked[n : 2 * n], stacked[2 * n :])
@@ -127,39 +134,24 @@ class Srq2Problem:
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
-        # one eigvalsh of A3 serves A3 and both denominator matrices; the
-        # zero thresholds of the quotient rule serve a1, a2, b1 and b2
-        a3_eps = linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a3))
+        # alpha I + beta A3 has the eigenvalues alpha + beta w3
+        w3 = np.linalg.eigvalsh(self.a3)
+        b1, b2 = self.b1, self.b2
         checks = (
-            ("a1", self.num_eps1, float(np.linalg.eigvalsh(self.a1)[0])),
-            ("a2", self.num_eps2, float(np.linalg.eigvalsh(self.a2)[0])),
-            ("a3", a3_eps, self._a3_range[0]),
-            ("denominator matrix 1", self.den_eps1, self._smallest_eig(self.alpha1, self.beta1)),
-            ("denominator matrix 2", self.den_eps2, self._smallest_eig(self.alpha2, self.beta2)),
+            ("a1", self.a1, float(np.linalg.eigvalsh(self.a1)[0]), "num_eps1"),
+            ("a2", self.a2, float(np.linalg.eigvalsh(self.a2)[0]), "num_eps2"),
+            ("a3", self.a3, float(w3[0]), None),
+            ("denominator matrix 1", b1, float((self.alpha1 + self.beta1 * w3).min()), "den_eps1"),
+            ("denominator matrix 2", b2, float((self.alpha2 + self.beta2 * w3).min()), "den_eps2"),
         )
-        for name, eps, wmin in checks:
-            if wmin < -eps:
-                raise ValueError(
-                    f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
-                )
-
-    @cached_property
-    def _a3_range(self) -> tuple[float, float]:
-        """The smallest and largest eigenvalues of A3."""
-        w = np.linalg.eigvalsh(self.a3)
-        return float(w[0]), float(w[-1])
-
-    def _smallest_eig(self, alpha: float, beta: float) -> float:
-        """Smallest eigenvalue of alpha I + beta A3, whose eigenvalues are
-        alpha + beta lambda_i(A3)."""
-        lo, hi = self._a3_range
-        return alpha + beta * (lo if beta >= 0.0 else hi)
-
-    @cached_property
-    def common_null_ok(self) -> bool:
-        s = self.b1 + self.b2
-        wmin = self._smallest_eig(self.alpha1 + self.alpha2, self.beta1 + self.beta2)
-        return bool(wmin > linalg.threshold(linalg.ZERO_TOL, linalg.norm1(s)))
+        for name, m, wmin, eps in checks:
+            scale = linalg.norm1(m)
+            linalg.require_psd(wmin, scale, name)
+            if eps is not None:
+                object.__setattr__(self, eps, linalg.threshold(linalg.ZERO_TOL, scale))
+        alpha, beta = self.alpha1 + self.alpha2, self.beta1 + self.beta2
+        cut = linalg.threshold(linalg.ZERO_TOL, linalg.norm1(b1 + b2))
+        object.__setattr__(self, "common_null_ok", float((alpha + beta * w3).min()) > cut)
 
     @property
     def n(self) -> int:
@@ -172,22 +164,6 @@ class Srq2Problem:
     @property
     def b2(self) -> np.ndarray:
         return self.alpha2 * np.eye(self.n) + self.beta2 * self.a3
-
-    @cached_property
-    def den_eps1(self) -> float:
-        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.b1))
-
-    @cached_property
-    def den_eps2(self) -> float:
-        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.b2))
-
-    @cached_property
-    def num_eps1(self) -> float:
-        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a1))
-
-    @cached_property
-    def num_eps2(self) -> float:
-        return linalg.threshold(linalg.ZERO_TOL, linalg.norm1(self.a2))
 
 
 def _block_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -342,7 +318,7 @@ def nepv_residuals(problem: Srq2Problem, x) -> ResidualInfo:
     return _info(_residual(problem, p), p.x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Srq2Solution:
     """A candidate minimizer with its audit trail.
 

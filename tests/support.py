@@ -10,6 +10,7 @@ the reference three-dimensional quotient problem is hard-coded.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,6 +66,15 @@ def random_system(rng, r, n, d) -> RosenbrockSystem:
         C=complex_normal(rng, n, r),
         poly_coeffs=tuple(complex_normal(rng, n, n) for _ in range(d + 1)),
     )
+
+
+def tiny_coupling_system(block: str) -> RosenbrockSystem:
+    """The (3, 4, 0) system of ``default_rng(0)`` with the coupling block
+    ``block`` ("B" or "C") scaled by 1e-6.  At lambda = 0.3+0.4i the pencil
+    right-hand side V*H2V of pattern B (C scaled) or of pattern C (B
+    scaled) is numerically zero, with a 1-norm of about 3.5e-11."""
+    system = random_system(np.random.default_rng(0), 3, 4, 0)
+    return replace(system, **{block: getattr(system, block) * 1e-6})
 
 
 # ---------------------------------------------------------------------------

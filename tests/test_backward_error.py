@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rosen_bkerr import linalg, srq2
+from rosen_bkerr import jnr, linalg, srq2
 from rosen_bkerr.backward_error import (
     ROUTES,
     BackwardErrorResult,
@@ -20,7 +20,14 @@ from rosen_bkerr.backward_error import (
     srq2_problem_for,
 )
 from rosen_bkerr.rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
-from support import direct_backward_error, random_system, refined_eigenvalues
+from support import (
+    X_STAR_1,
+    direct_backward_error,
+    example_problem,
+    random_system,
+    refined_eigenvalues,
+    tiny_coupling_system,
+)
 
 from dataclasses import replace
 
@@ -321,6 +328,19 @@ def test_transposed_pencil_witness_names_the_transpose():
     assert result.infeasibility_witness == "transposed system: V*H2V = 0"
 
 
+@pytest.mark.parametrize(
+    "pattern, block, witness",
+    [("B", "C", "V*H2V = 0"), ("C", "B", "transposed system: V*H2V = 0")],
+)
+def test_numerically_zero_pencil_rhs_is_infeasible(pattern, block, witness):
+    # V*H2V has a 1-norm of about 3.5e-11 here, every eigenvalue below the kernel's
+    # null-space threshold: the kernel's "numerically zero" is the witness
+    result = backward_error(tiny_coupling_system(block), 0.3 + 0.4j, pattern)
+    assert result.eta == math.inf
+    assert result.x is None
+    assert result.infeasibility_witness == witness
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction contract.
 
@@ -537,3 +557,28 @@ def test_route_scalar_pairs_match_random_problem(letters):
     pairs = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
     assert pairs == (sampled.alpha1, sampled.beta1, sampled.alpha2, sampled.beta2)
     assert pairs == srq2.PATTERN_SCALARS[route.inner](3.25)
+
+
+def test_array_holding_records_compare_by_identity():
+    # equality is identity and hashing works: a field-wise __eq__ would
+    # compare arrays and raise, and a field-wise __hash__ would hash them
+    system = random_system(np.random.default_rng(3), 2, 3, 1)
+    lam = 0.3 + 0.4j
+    results = [backward_error(system, lam, p) for p in ("A", "AP")]
+    problem = example_problem()
+    triple = (problem.a1, problem.a2, problem.a3)
+    params = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
+    records = [
+        system,
+        assemble_error_matrices(system, lam),
+        srq2_problem_for(system, lam, "AP"),
+        results[1].solver,
+        *results,
+        jnr.boundary_sample(triple, jnr.direction_grid(2))[0],
+        jnr.optimality_certificate(triple, params, X_STAR_1),
+    ]
+    assert backward_error(system, lam, "A") not in results
+    assert len({*records, *records}) == len(records)
+    for record in records:
+        assert record == record
+        assert record != replace(record)

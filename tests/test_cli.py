@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rosen_bkerr import cli, jnr, srq2
-from rosen_bkerr.backward_error import srq2_problem_for
+from rosen_bkerr.backward_error import all_patterns, backward_error, srq2_problem_for
 from rosen_bkerr.rosenbrock import RosenbrockSystem
 from support import (
     EXAMPLE_A1,
@@ -17,6 +17,7 @@ from support import (
     SOLVE_VALUE,
     example_problem,
     random_system,
+    tiny_coupling_system,
 )
 
 
@@ -582,3 +583,61 @@ def test_oracle_check_rejects_nonpositive_budget(capsys, budget):
 
 def test_result_document_eta_inf_spelling():
     assert cli.serialize_document({"eta": "inf"}).strip() == '{\n  "eta": "inf"\n}'
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def test_compute_exits_0_on_a_numerically_zero_pencil_rhs(tmp_path, capsys):
+    sys_path = write_system(tmp_path, tiny_coupling_system("C"))
+    out_path = tmp_path / "result.json"
+    args = ["--system", str(sys_path), "--lambda", "0.3+0.4i", "--pattern", "B"]
+    assert cli.main(["compute", *args, "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text(), parse_constant=_reject_constant)
+    assert doc["eta"] == "inf"
+    assert doc["infeasibilityWitness"] == "V*H2V = 0"
+    assert "eta = inf (V*H2V = 0)" in capsys.readouterr().err
+
+
+# At this scale the residual norms of the certificates overflow (numpy warns),
+# which is what puts non-finite floats into the documents.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_result_documents_are_valid_json_at_large_scale():
+    c = 1e100
+    base = random_system(np.random.default_rng(2), 3, 4, 0)
+    system = RosenbrockSystem(
+        base.A * c, base.B * c, base.C * c, tuple(m * c for m in base.poly_coeffs)
+    )
+    for pattern in all_patterns():
+        result = backward_error(system, c * (0.3 + 0.4j), pattern)
+        text = cli.serialize_document(cli.result_to_document(result))
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert doc["eta"] == result.eta
+
+
+def test_jnr_sidecar_is_valid_json_when_every_value_is_infinite(tmp_path):
+    # b1 = 0 under the numerator A1 = I: the objective is +inf everywhere, so
+    # the support gap is undefined and the boundary gap is inf - inf
+    def nested(m):
+        return [[[float(v), 0.0] for v in row] for row in m]
+
+    eye, zero = nested(np.eye(2)), nested(np.zeros((2, 2)))
+    doc = {"n": 2, "A1": eye, "A2": eye, "A3": zero}
+    doc.update(alpha1=0.0, beta1=1.0, alpha2=1.0, beta2=0.0)
+    doc_path = tmp_path / "problem.json"
+    doc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "boundary.csv"
+    args = ["jnr", "--system", str(doc_path), "--samples", "8", "--out", str(out_path)]
+    assert cli.main(args) == 0
+    meta_text = (tmp_path / "boundary.csv.meta.json").read_text()
+    meta = json.loads(meta_text, parse_constant=_reject_constant)
+    assert meta["objectiveAtSolution"] == "inf"
+    assert meta["supportGap"] is None
+    assert meta["boundaryObjectiveGap"] is None
+    assert meta["solver"]["residual"] is None
+
+
+def test_serialize_document_rejects_non_finite_floats():
+    with pytest.raises(ValueError):
+        cli.serialize_document({"eta": float("nan")})

@@ -117,6 +117,13 @@ def test_semidefinite_pencil_unbounded_reports():
         linalg.semidefinite_pencil_smallest(m, n)
 
 
+@pytest.mark.parametrize("n", [np.zeros((0, 0)), np.zeros((2, 2)), np.diag([1e-11, 5e-11])])
+def test_semidefinite_pencil_zero_rhs_is_its_own_error(n):
+    # no eigenvalue above threshold(1e-10, ||N||_1) = 1e-10: numerically zero
+    with pytest.raises(linalg.ZeroPencilError, match="numerically zero"):
+        linalg.semidefinite_pencil_smallest(np.eye(n.shape[0]), n)
+
+
 @pytest.mark.parametrize("n", [3, 8, 30])
 @pytest.mark.parametrize("kernel", ["definite", "semidefinite"])
 def test_pencil_value_is_the_quotient_its_vector_attains(kernel, n):

@@ -118,6 +118,40 @@ def test_indefinite_denominator_message(a3, alphas, betas):
 
 
 @pytest.mark.parametrize(
+    "wmin, norm, psd",
+    [
+        # below -1e-12 ||M||_1, though above -1e-10 ||M||_1
+        (-1e-9, 100.0, False),
+        # below -1e-12 ||M||_1, though above -1e-12 max(1, ||M||_1)
+        (-1e-25, 1e-20, False),
+        (-5e-11, 100.0, True),
+        (0.0, 1e-20, True),
+    ],
+)
+def test_one_psd_guard(wmin, norm, psd):
+    # M = diag(wmin, norm) has 1-norm norm; the null-space kernel and each of
+    # Srq2Problem's five checks give it one verdict
+    m, eye = np.diag([wmin, norm]), np.eye(2)
+    calls = (
+        lambda: linalg.psd_nullspace(m),
+        lambda: srq2.Srq2Problem(m, eye, eye, 1.0, 0.0, 1.0, 0.0),
+        lambda: srq2.Srq2Problem(eye, m, eye, 1.0, 0.0, 1.0, 0.0),
+        lambda: srq2.Srq2Problem(eye, eye, m, 1.0, 0.0, 1.0, 0.0),
+        # b1 = wmin I + (norm - wmin) diag(0, 1) = M
+        lambda: srq2.Srq2Problem(eye, eye, np.diag([0.0, 1.0]), wmin, norm - wmin, 1.0, 0.0),
+    )
+    verdicts = []
+    for call in calls:
+        try:
+            call()
+        except linalg.IndefiniteMatrixError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    assert verdicts == [psd] * len(calls)
+
+
+@pytest.mark.parametrize(
     "a3, params, ok",
     [
         # the sum of the denominators, (alpha1 + alpha2) I + (beta1 + beta2) A3,
