@@ -178,6 +178,9 @@ class Certificate:
     perturbation: RosenbrockSystem | None
     sigma_min_perturbed: float
     nepv_residual: float | None = None
+    """SRQ2 routes, where H(x) is defined: ||H(x) x - s x|| / (||H(x)||_1 + 1),
+    s = x* H(x) x, the ``rel_residual`` of ``srq2.nepv_residuals``, unlike its
+    unscaled ``nepv_residual`` against lambda_min(H(x)); None elsewhere."""
     pencil_residual: float | None = None
     failure: str | None = None
 
@@ -303,13 +306,7 @@ def _solve_pencil(view: _Shift):
 
 
 def backward_error(
-    system: RosenbrockSystem,
-    lam,
-    pattern,
-    *,
-    restarts: int = 5,
-    seed: int = 0,
-    tol: float = 1e-10,
+    system: RosenbrockSystem, lam, pattern, *, restarts: int = 5, seed: int = 0
 ) -> BackwardErrorResult:
     """Backward error of the shift ``lam`` under the given pattern, with a
     from-scratch certificate and the minimal perturbation it reconstructs.
@@ -331,7 +328,7 @@ def backward_error(
         if route.kind == METHOD_PENCIL:
             value, x, witness = _solve_pencil(view)
         else:
-            solver = srq2.solve(_srq2_problem(view), restarts=restarts, seed=seed, tol=tol)
+            solver = srq2.solve(_srq2_problem(view), restarts=restarts, seed=seed)
             value, x = solver.value, solver.x
             if not math.isfinite(value):
                 value, x = math.inf, None
@@ -415,9 +412,10 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     """Re-derive every certification quantity from the result's stored
     (eta, x) at its own shift and pattern: rebuild the pattern perturbation
     at x, compare its aggregate norm with eta, measure the smallest singular
-    value of the perturbed evaluation, and recompute the stationarity or
-    pencil residual for the route the pattern takes.  Passes only when every
-    check meets its bound."""
+    value of the perturbed evaluation, and recompute the pencil residual, or
+    on an SRQ2 route where H(x) is defined the stationarity residual and the
+    aufbau gap s - lambda_min(H(x)).  Passes only when every check meets its
+    bound."""
     view = _shift(system, result.lam, result.pattern)
     smin_bound = linalg.threshold(_FEAS_TOL, view.scale)
 
@@ -451,13 +449,14 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     if view.route.kind == METHOD_SRQ2:
         try:
             info = srq2.nepv_residuals(_srq2_problem(view), x)
-        except srq2.NondifferentiablePointError:
-            info = None
-        if info is not None:
+        except srq2.NondifferentiablePointError:  # a 0/0 point: no H(x)
+            pass
+        else:  # stationary, and paired with the smallest eigenvalue of H(x)
             nepv_residual = info.rel_residual
-            checks.append(
-                _check("stationarity residual (relative)", nepv_residual, _NEPV_CERT_TOL)
-            )
+            checks += [
+                _check("stationarity residual (relative)", nepv_residual, _NEPV_CERT_TOL),
+                _check("aufbau gap s - lambda_min(H)", info.smallest_eig_gap, info.aufbau_bound),
+            ]
     else:
         basis, m, nmat, _, scale = _pencil_data(view)
         y = basis.conj().T @ x

@@ -254,13 +254,10 @@ def _write_output(text: str, out_path) -> None:
 
 
 def _check_solver_flags(args) -> None:
-    """Reject settings no solve can run with: a negative seed or restart
-    count, or a tolerance that is not a positive finite number."""
+    """Reject settings no solve can run with: a negative seed or restart count."""
     for name in ("seed", "restarts"):
         if getattr(args, name) < 0:
             raise CliInputError(f"{name} must be nonnegative")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise CliInputError("tol must be a positive finite number")
 
 
 def cmd_compute(args) -> int:
@@ -272,9 +269,7 @@ def cmd_compute(args) -> int:
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     try:
-        result = backward_error(
-            system, lam, pattern, restarts=args.restarts, seed=args.seed, tol=args.tol
-        )
+        result = backward_error(system, lam, pattern, restarts=args.restarts, seed=args.seed)
     except ValueError as exc:  # a shift whose evaluation overflows
         raise CliInputError(str(exc)) from exc
     doc = result_to_document(result)
@@ -318,7 +313,11 @@ def cmd_jnr(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     _write_output(csv_text, args.out)
 
-    solution = srq2.solve(problem, restarts=args.restarts, seed=args.seed, tol=args.tol)
+    solution = srq2.solve(problem, restarts=args.restarts, seed=args.seed)
+    try:
+        support_gap = srq2.nepv_residuals(problem, solution.x).smallest_eig_gap
+    except srq2.NondifferentiablePointError:
+        support_gap = None
     y_star = jnr.rho(matrices, solution.x)
     # g(rho(w)) = f(w) at a unit witness w
     boundary_min = min(srq2.objective(problem, p.witness) for p in points)
@@ -326,7 +325,7 @@ def cmd_jnr(args) -> int:
         "schemaVersion": SCHEMA_VERSION,
         "objectiveAtSolution": solution.value,
         "rhoAtSolution": [float(v) for v in y_star],
-        "supportGap": solution.smallest_eig_gap,
+        "supportGap": support_gap,
         "boundaryObjectiveGap": boundary_min - solution.value,
         "solver": _solver_document(solution),
     })
@@ -407,7 +406,7 @@ def cmd_oracle_check(args) -> int:
         )
         solver_seed = int(rng.integers(2**31 - 1))
         oracle_seed = int(rng.integers(2**31 - 1))
-        sol = srq2.solve(problem, restarts=args.restarts, seed=solver_seed, tol=args.tol)
+        sol = srq2.solve(problem, restarts=args.restarts, seed=solver_seed)
         oracle = srq2.brute_force_oracle(problem, args.budget, seed=oracle_seed)
         if math.isinf(sol.value) and math.isinf(oracle):
             within += 1
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the solver settings of every command that solves
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--restarts", type=int, default=5)
-    solver.add_argument("--tol", type=float, default=1e-10)
     solver.add_argument("--seed", type=int, default=0)
 
     p_compute = sub.add_parser(

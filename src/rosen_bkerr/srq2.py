@@ -68,7 +68,8 @@ _NEWTON_SWITCH = 1e-3
 _STALL_SWEEPS = 100
 _STALL_RATIO = 0.75
 _STALL_SWITCH = 1e-2
-# Caps of ``scf_solve``: sweeps per run, and level shifts tried per sweep.
+# ``scf_solve``: the relative residual of convergence, sweeps per run, shifts per sweep.
+_CONVERGED = 1e-10
 _MAX_SWEEPS = 400
 _MAX_SHIFT_TRIES = 40
 # Root iteration of ``_downdated_bottom``: a step cap, and the relative step
@@ -297,23 +298,31 @@ def nepv_matrix(problem: Srq2Problem, x) -> np.ndarray:
 
 
 class ResidualInfo(NamedTuple):
-    """Stationarity diagnostics at a unit vector: the residual against the
-    smallest eigenvalue of H(x), the scaled residual against the Rayleigh
-    quotient s = x* H(x) x, and the gap s - lambda_min(H(x))."""
+    """Stationarity diagnostics at a unit vector: || H(x) x - lambda_min(H(x)) x ||
+    (unscaled), the relative residual against the Rayleigh quotient
+    s = x* H(x) x, the gap s - lambda_min(H(x)) and ||H(x)||_1."""
 
     nepv_residual: float
     rel_residual: float
     smallest_eig_gap: float
+    norm1: float
+
+    @property
+    def aufbau_bound(self) -> float:
+        """The aufbau condition (x pairs with lambda_min(H(x))) bounds the gap by this."""
+        return 1e-9 * (self.norm1 + 1.0)
 
 
 def _info(res: _Residual, x: np.ndarray) -> ResidualInfo:
     """The diagnostics of ``res`` at its unit vector x, with the one
     eigenvalue solve for lambda_min(H(x))."""
     w0 = float(np.linalg.eigvalsh(res.h)[0])
-    return ResidualInfo(float(np.linalg.norm(res.hx - w0 * x)), res.rel, res.s - w0)
+    return ResidualInfo(float(np.linalg.norm(res.hx - w0 * x)), res.rel, res.s - w0, res.norm1)
 
 
 def nepv_residuals(problem: Srq2Problem, x) -> ResidualInfo:
+    """The diagnostics at x (normalized internally), the one place that takes
+    the spectrum of H(x); NondifferentiablePointError where it is undefined."""
     p = _smooth_point(problem, x)
     return _info(_residual(problem, p), p.x)
 
@@ -323,21 +332,19 @@ class Srq2Solution:
     """A candidate minimizer with its audit trail.
 
     ``value`` is the objective at ``x`` (unit, phase fixed);
-    ``nepv_residual``, ``rel_residual`` and ``smallest_eig_gap`` are the
-    ResidualInfo fields at x, from the H(x) its search ended on (for an SCF
-    run, that of its final iterate; NaN where H(x) is undefined);
-    ``iterations`` counts SCF sweeps plus Newton steps and ``shifts_used``
-    holds the level shift of each accepted sweep; ``source`` records which
-    search produced the point: SOURCE_SCF, or SOURCE_NONDIFF_1 or
-    SOURCE_NONDIFF_2 for a closed-form candidate where that quotient is 0/0
-    (0 iterations, ``converged`` True).
+    ``rel_residual`` is the relative residual against the Rayleigh quotient
+    from the H(x) its search ended on (for an SCF run, that of its final
+    iterate; NaN where H(x) is undefined), and ``nepv_residuals`` gives the
+    spectrum diagnostics at x; ``iterations`` counts SCF sweeps plus Newton
+    steps and ``shifts_used`` holds the level shift of each accepted sweep;
+    ``source`` records which search produced the point: SOURCE_SCF, or
+    SOURCE_NONDIFF_1 or SOURCE_NONDIFF_2 for a closed-form candidate where
+    that quotient is 0/0 (0 iterations, ``converged`` True).
     """
 
     x: np.ndarray
     value: float
-    nepv_residual: float
     rel_residual: float
-    smallest_eig_gap: float
     iterations: int
     shifts_used: tuple[float, ...]
     source: str
@@ -345,13 +352,12 @@ class Srq2Solution:
 
 
 def _solution(problem, p: _Point, res: _Residual | None, *, iterations, shifts, source, converged):
-    """The Srq2Solution at p, with the diagnostics of its residual data
-    ``res``; None where p is not smooth gives NaN diagnostics."""
-    info = ResidualInfo(math.nan, math.nan, math.nan) if res is None else _info(res, p.x)
+    """The Srq2Solution at p with the relative residual of its residual
+    data ``res``; None where p is not smooth gives NaN."""
     return Srq2Solution(
         x=p.x,
         value=objective(problem, p.x),
-        **info._asdict(),
+        rel_residual=math.nan if res is None else res.rel,
         iterations=iterations,
         shifts_used=tuple(shifts),
         source=source,
@@ -493,7 +499,7 @@ def _downdated_bottom(w: np.ndarray, vecs: np.ndarray, z: np.ndarray, sigma: flo
     return v / math.sqrt(np.vdot(v, v).real)
 
 
-def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
+def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     """Level-shifted self-consistent-field iteration on H(x) x = mu x,
     finished by safeguarded Riemannian Newton steps.
 
@@ -522,7 +528,7 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     the level-shifted sweeps from the same iterate.
 
     Convergence is declared when the relative fixed-point residual
-    || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to ``tol``.  A
+    || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to 1e-10.  A
     run also stops, flagged ``converged=False``, on the sweep cap (400), on
     shift-search exhaustion (40 shifts tried in one sweep), or when a
     sweep's descent lands on the 0/0 set, where H(x) is undefined and the
@@ -547,7 +553,7 @@ def scf_solve(problem: Srq2Problem, x0, *, tol: float = 1e-10) -> Srq2Solution:
     newton = False
     converged = False
     for k in range(_MAX_SWEEPS + 1):
-        if res.rel <= tol:
+        if res.rel <= _CONVERGED:
             converged = True
             break
         if k == _MAX_SWEEPS:
@@ -680,18 +686,16 @@ def _pick_best(candidates: list[Srq2Solution]) -> Srq2Solution:
     return min(pool, key=key)
 
 
-def solve(
-    problem: Srq2Problem,
-    *,
-    restarts: int = 5,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> Srq2Solution:
+def solve(problem: Srq2Problem, *, restarts: int = 5, seed: int = 0) -> Srq2Solution:
     """Global minimization: SCF runs from ``restarts`` seeded random unit
     starts plus the two single-quotient minimizers, unioned with the
-    degenerate 0/0 candidates, returning the lowest objective value.  Ties
-    break on the phase-fixed minimizer entries, so the result is
-    deterministic for a given seed."""
+    degenerate 0/0 candidates, returning the Srq2Solution of lowest
+    objective value.  Ties break on convergence, then on the relative
+    residual, then on the phase-fixed minimizer entries, so the result is
+    deterministic for a given seed.  Only the winner's spectrum is taken: a
+    smooth winner x off the bottom of H(x)'s spectrum fails the aufbau
+    condition, which global minimizers meet for n >= 3, and one more SCF run
+    starts from the bottom eigenvector of H(x)."""
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -702,15 +706,22 @@ def solve(
     ]
     starts.extend(_single_quotient_starts(problem))
 
-    def run(x0):
-        return scf_solve(problem, x0, tol=tol)
-
-    candidates: list[Srq2Solution] = _parallel.parallel_map(run, starts)
+    candidates: list[Srq2Solution] = _parallel.parallel_map(
+        lambda x0: scf_solve(problem, x0), starts
+    )
     if problem.common_null_ok:
         candidates.extend(nondiff_candidates(problem))
     if not candidates:
         raise RuntimeError("no candidate solutions were produced")
-    return _pick_best(candidates)
+    best = _pick_best(candidates)
+    try:
+        info = nepv_residuals(problem, best.x)
+    except NondifferentiablePointError:  # a 0/0 winner
+        return best
+    if info.smallest_eig_gap > info.aufbau_bound:
+        run = scf_solve(problem, np.linalg.eigh(nepv_matrix(problem, best.x))[1][:, 0])
+        best = _pick_best([best, run])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -110,14 +110,15 @@ def test_criterion_01_reference_minimizer(capsys):
     sol = srq2.solve(example_problem(), restarts=5, seed=0)
     elapsed = time.perf_counter() - start
     rho = jnr.rho(TRIPLE, sol.x)
+    residual = srq2.nepv_residuals(example_problem(), sol.x).nepv_residual
     failures = []
     if not sol.converged:
         failures.append("solver did not converge")
     off = float(np.max(np.abs(rho - Y_STAR_1)))
     if off > 5e-2:
         failures.append(f"rho(x) misses the printed minimizer by {off:.2e} > 5e-2")
-    if not sol.nepv_residual <= 1e-9:
-        failures.append(f"stationarity residual {sol.nepv_residual:.2e} > 1e-9")
+    if not residual <= 1e-9:
+        failures.append(f"stationarity residual {residual:.2e} > 1e-9")
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s >= 1s")
     _report(
@@ -125,7 +126,7 @@ def test_criterion_01_reference_minimizer(capsys):
         1,
         "reference quotient problem reproduces the printed minimizer",
         failures,
-        f"value {sol.value:.6f}, residual {sol.nepv_residual:.1e}, {elapsed:.2f}s",
+        f"value {sol.value:.6f}, residual {residual:.1e}, {elapsed:.2f}s",
     )
 
 

@@ -229,6 +229,103 @@ def test_certify_reports_an_infeasible_minimizer():
     assert math.isnan(cert.delta_norm)
 
 
+SPURIOUS_SYSTEM = random_system(np.random.default_rng(0), 2, 3, 1)
+SPURIOUS_LAMBDA = 0.3 + 0.4j
+
+
+def _spurious_point(problem):
+    """A stationary point of ``problem``'s quotient sum that pairs with a
+    higher eigenvalue of H(x) than the smallest: a seeded start moved by
+    plain Riemannian Newton steps, with no descent safeguard."""
+    n = problem.n
+    rng = np.random.default_rng(100)
+    x = linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    p = srq2._point(problem, x)
+    for _ in range(30):
+        res = srq2._residual(problem, p)
+        c = srq2._real(np.column_stack((p.x, 1j * p.x)))
+        kkt = np.block([[srq2._newton_matrix(problem, p, res.h), c], [c.T, np.zeros((2, 2))]])
+        rhs = np.concatenate((-srq2._real(res.hx - res.s * p.x), np.zeros(2)))
+        v = np.linalg.solve(kkt, rhs)
+        x = linalg.fix_phase(linalg.normalize(p.x + v[:n] + 1j * v[n : 2 * n]))
+        p = srq2._point(problem, x)
+    info = srq2.nepv_residuals(problem, p.x)
+    assert info.rel_residual <= 1e-15 and info.smallest_eig_gap > 1.0
+    return p
+
+
+@pytest.mark.parametrize("letters", ["ABC", "ABP", "BCP", "ABCP"])
+def test_certify_rejects_a_stationary_point_off_the_bottom_of_the_spectrum(letters):
+    # a stationary point whose Rayleigh quotient s is not lambda_min(H(x))
+    # meets every other check: the perturbation it rebuilds is exact and
+    # matches its own (too large) eta; only the aufbau check rejects it
+    p = _spurious_point(srq2_problem_for(SPURIOUS_SYSTEM, SPURIOUS_LAMBDA, letters))
+    best = backward_error(SPURIOUS_SYSTEM, SPURIOUS_LAMBDA, letters)
+    assert best.certificate.passed
+    assert p.value > 2.0 * best.eta**2
+    cert = certify(SPURIOUS_SYSTEM, replace(best, x=p.x, eta=math.sqrt(p.value)))
+    assert not cert.passed
+    failed = [c.name for c in cert.checks if not c.passed]
+    assert failed == ["aufbau gap s - lambda_min(H)"]
+
+
+@pytest.mark.parametrize("letters", ["ABC", "ABP", "BCP", "ABCP"])
+def test_solve_leaves_a_winner_off_the_bottom_of_the_spectrum(letters, monkeypatch):
+    # every multistart run (5 random starts, 2 single-quotient starts) ends
+    # on the spurious point; no global minimizer is there, and the SCF run
+    # from the bottom eigenvector of H(x) reaches the minimum
+    problem = srq2_problem_for(SPURIOUS_SYSTEM, SPURIOUS_LAMBDA, letters)
+    spurious = _spurious_point(problem)
+    minimum = srq2.solve(problem)
+    engine = srq2.scf_solve
+    runs = []
+
+    def stuck(quotient, x0):
+        runs.append(x0)
+        return engine(quotient, spurious.x if len(runs) <= 7 else x0)
+
+    monkeypatch.setattr(srq2, "scf_solve", stuck)
+    sol = srq2.solve(problem)
+    assert len(runs) > 7
+    assert sol.value == pytest.approx(minimum.value, rel=1e-10)
+    info = srq2.nepv_residuals(problem, sol.x)
+    assert info.smallest_eig_gap <= info.aufbau_bound
+
+
+def _random_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 0), (1, 2, 0), (2, 3, 1), (3, 2, 2), (3, 4, 0), (4, 6, 1)]
+)
+def test_eta_invariant_under_unitary_block_equivalence(shape, seed):
+    # S(lam) -> diag(U, V) S(lam) diag(U*, W) maps each block to itself and
+    # keeps every block's Frobenius norm, so eta is unchanged on all patterns
+    r, n, d = shape
+    rng = np.random.default_rng([seed, *shape])
+    system = random_system(rng, r, n, d)
+    u, v, w = _random_unitary(rng, r), _random_unitary(rng, n), _random_unitary(rng, n)
+    moved = RosenbrockSystem(
+        u @ system.A @ u.conj().T,
+        u @ system.B @ w,
+        v @ system.C @ u.conj().T,
+        tuple(v @ c @ w for c in system.poly_coeffs),
+    )
+    lam = 0.3 + 0.4j
+    for pattern in all_patterns():
+        before = backward_error(system, lam, pattern, restarts=3)
+        after = backward_error(moved, lam, pattern, restarts=3)
+        assert after.eta == pytest.approx(before.eta, rel=1e-8), pattern.letters
+        for result in (before, after):
+            assert result.certificate.passed, (
+                pattern.letters,
+                [(c.name, c.value, c.bound) for c in result.certificate.checks],
+            )
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity in the pattern.
 

@@ -504,9 +504,10 @@ def test_solve_beats_degenerate_candidates_on_rank_deficient():
 
 
 def test_solution_reports_residuals():
-    sol = srq2.solve(example_problem(), restarts=2, seed=0)
+    problem = example_problem()
+    sol = srq2.solve(problem, restarts=2, seed=0)
     assert sol.rel_residual <= 1e-10
-    assert sol.nepv_residual <= 1e-8
+    assert srq2.nepv_residuals(problem, sol.x).nepv_residual <= 1e-8
     assert np.linalg.norm(sol.x) == pytest.approx(1.0, abs=1e-12)
     assert sol.source in (srq2.SOURCE_SCF, srq2.SOURCE_NONDIFF_1, srq2.SOURCE_NONDIFF_2)
 
@@ -563,7 +564,8 @@ def test_newton_endgame_avoids_spurious_point():
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x0 = x2 + 10.0 ** rng.uniform(-6.0, -1.0) * u / np.linalg.norm(u)
         sol = srq2.scf_solve(problem, x0)
-        assert sol.smallest_eig_gap <= 1e-8, (k, sol.smallest_eig_gap)
+        gap = srq2.nepv_residuals(problem, sol.x).smallest_eig_gap
+        assert gap <= 1e-8, (k, gap)
         assert abs(np.vdot(sol.x, x2)) <= 0.99, k
 
 
@@ -747,13 +749,10 @@ def _reference_scf(problem, x0, *, max_iter=400, tol=1e-10, max_shift_tries=40):
         if not accepted:
             break
     x = x if converged else best_x
-    info = srq2.nepv_residuals(problem, x)
     return srq2.Srq2Solution(
         x=x,
         value=srq2.objective(problem, x),
-        nepv_residual=info.nepv_residual,
-        rel_residual=info.rel_residual,
-        smallest_eig_gap=info.smallest_eig_gap,
+        rel_residual=srq2.nepv_residuals(problem, x).rel_residual,
         iterations=k,
         shifts_used=tuple(shifts),
         source=srq2.SOURCE_SCF,
@@ -854,9 +853,9 @@ def test_scf_start_on_zero_over_zero_set_is_returned_as_is():
 
 
 def test_run_state_diagnostics_match_from_scratch(monkeypatch):
-    # every run's value and residuals come from its search's own state; they
-    # must be what the public functions recompute at the returned x, and NaN
-    # exactly where H(x) is undefined
+    # every run's value and relative residual come from its search's own
+    # state; they must be what the public functions recompute at the
+    # returned x, the residual NaN exactly where H(x) is undefined
     engine = srq2.scf_solve
     runs = []
 
@@ -877,15 +876,14 @@ def test_run_state_diagnostics_match_from_scratch(monkeypatch):
                 k += 1
                 nondiff = srq2.nondiff_candidates(problem) if problem.common_null_ok else []
                 for sol in runs + nondiff:
-                    diagnostics = (sol.nepv_residual, sol.rel_residual, sol.smallest_eig_gap)
                     assert sol.value == srq2.objective(problem, sol.x)
                     try:
                         info = srq2.nepv_residuals(problem, sol.x)
                     except srq2.NondifferentiablePointError:
-                        assert all(math.isnan(v) for v in diagnostics)
+                        assert math.isnan(sol.rel_residual)
                         undefined += 1
                         continue
-                    tol = 1e-13 * (linalg.norm1(srq2.nepv_matrix(problem, sol.x)) + 1.0)
-                    for got, want in zip(diagnostics, info):
-                        assert abs(got - want) <= tol, (template, n, got, want)
+                    tol = 1e-13 * (info.norm1 + 1.0)
+                    got, want = sol.rel_residual, info.rel_residual
+                    assert abs(got - want) <= tol, (template, n, got, want)
     assert undefined > 0
