@@ -55,9 +55,11 @@ def _forms(mats, X: np.ndarray) -> np.ndarray:
 
 
 def rho(matrices, x) -> np.ndarray:
-    """The real 3-vector [x* A1 x, x* A2 x, x* A3 x]."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1, 1)
-    return _forms(_hermitian_triple(matrices), x)[:, 0]
+    """The real 3-vector [x* A1 x, x* A2 x, x* A3 x]; ValueError unless x is
+    a finite vector of the matrices' order."""
+    mats = _hermitian_triple(matrices)
+    x = srq2._vector(x, mats[0].shape[0])
+    return _forms(mats, x.reshape(-1, 1))[:, 0]
 
 
 def direction_grid(count: int) -> np.ndarray:

@@ -57,17 +57,14 @@ __all__ = [
 ]
 
 _SHIFT_SLACK = 1e-14
-# Newton steps take over from the SCF sweeps once the residual against the
-# smallest eigenvalue of H(x) is at most this (see ``scf_solve``).  With
-# 1e-1, most starts next to the spurious stationary point of the reference
-# problem end on it; with 1e-3, none do.
+# Newton steps take over from the SCF sweeps once the residual r0 against
+# the smallest eigenvalue w0 of H(x) is at most _NEWTON_SWITCH (||H(x)||_1 + 1)
+# or _GAP_SWITCH (w1 - w0) (see ``scf_solve``).  With 1e-1 in place of 1e-3,
+# most starts next to the spurious stationary point of the reference problem
+# end on it; with 1e-3, none do.  The gap term keeps the angle between x and
+# the bottom eigenvector at sin <= r0 / (w1 - w0) <= 0.1.
 _NEWTON_SWITCH = 1e-3
-# A stall: that residual is above 0.75 times its value 100 consecutive
-# sweeps earlier, a pace at which sweeps need thousands more to converge.  A
-# stalled run switches to Newton steps once the residual is at most 1e-2.
-_STALL_SWEEPS = 100
-_STALL_RATIO = 0.75
-_STALL_SWITCH = 1e-2
+_GAP_SWITCH = 1e-1
 # ``scf_solve``: the relative residual of convergence, sweeps per run, shifts per sweep.
 _CONVERGED = 1e-10
 _MAX_SWEEPS = 400
@@ -205,14 +202,34 @@ class _Point(NamedTuple):
     smooth: bool
 
 
-def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
-    """The forms and the objective value at a nonzero x.
+def _smooth(problem: Srq2Problem, nrm2, d1, d2):
+    """Whether both denominators are nonzero, that is above den_eps ||x||^2;
+    floats or arrays (a column per point) alike."""
+    return (d1 > problem.den_eps1 * nrm2) & (d2 > problem.den_eps2 * nrm2)
 
-    The quotient rule, with the thresholds of ``problem`` scaled by
-    ||x||^2: a denominator d <= den_eps ||x||^2 vanishes; over a numerator
-    q <= num_eps ||x||^2 the quotient is then 0/0 and contributes 0, over
-    a larger one it is +inf; otherwise it is q / d.  ``_quotient_batch``
-    applies the same rule to arrays of columns."""
+
+def _quotient_sum(problem: Srq2Problem, q1, q2, nrm2, d1, d2) -> np.ndarray:
+    """The quotient rule, entrywise on arrays of columns, with the
+    thresholds of ``problem`` scaled by ||x||^2: a denominator
+    d <= den_eps ||x||^2 vanishes; over a numerator q <= num_eps ||x||^2 the
+    quotient is then 0/0 and contributes 0, over a larger one it is +inf;
+    otherwise it is q / d."""
+
+    def quotient(q, d, num_eps, den_eps):
+        zero_den = d <= den_eps * nrm2
+        out = np.divide(q, d, out=np.zeros_like(q), where=~zero_den)
+        out[zero_den & (q > num_eps * nrm2)] = np.inf
+        return out
+
+    return quotient(q1, d1, problem.num_eps1, problem.den_eps1) + quotient(
+        q2, d2, problem.num_eps2, problem.den_eps2
+    )
+
+
+def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
+    """The forms and the objective value at a nonzero x: q1 / d1 + q2 / d2
+    where both denominators are nonzero, ``_quotient_sum`` of the one column
+    x elsewhere."""
     nrm2 = float(np.real(np.vdot(x, x)))
     if nrm2 == 0.0:
         raise ValueError("x must be nonzero")
@@ -222,39 +239,26 @@ def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
     q2 = float(np.real(np.vdot(x, y[n : 2 * n])))
     q3 = float(np.real(np.vdot(x, y[2 * n :])))
     d1, d2 = _denominators(problem, nrm2, q3)
-    value = 0.0
-    for q, d, num_eps, den_eps in (
-        (q1, d1, problem.num_eps1, problem.den_eps1),
-        (q2, d2, problem.num_eps2, problem.den_eps2),
-    ):
-        if d <= den_eps * nrm2:
-            if q <= num_eps * nrm2:
-                continue
-            value = math.inf
-            break
-        value += q / d
-    smooth = d1 > problem.den_eps1 * nrm2 and d2 > problem.den_eps2 * nrm2
+    smooth = _smooth(problem, nrm2, d1, d2)
+    if smooth:
+        value = q1 / d1 + q2 / d2
+    else:
+        value = _quotient_sum(problem, *np.array([[q1], [q2], [nrm2], [d1], [d2]])).item()
     return _Point(x, y, q1, q2, d1, d2, value, smooth)
 
 
-def _quotient_batch(q, d, nrm2, num_eps, den_eps):
-    """The quotient rule of ``_point``, entrywise on arrays."""
-    zero_den = d <= den_eps * nrm2
-    out = np.divide(q, d, out=np.zeros_like(q), where=~zero_den)
-    out[zero_den & (q > num_eps * nrm2)] = np.inf
-    return out
-
-
-def _quotient_sum(problem, q1, q2, nrm2, d1, d2):
-    return _quotient_batch(q1, d1, nrm2, problem.num_eps1, problem.den_eps1) + _quotient_batch(
-        q2, d2, nrm2, problem.num_eps2, problem.den_eps2
-    )
+def _vector(x, n: int, name: str = "x") -> np.ndarray:
+    """x as a finite complex vector of length n; ValueError otherwise."""
+    x = linalg.as_complex_vector(x, name)
+    if x.size != n:
+        raise ValueError(f"{name} must have length {n}")
+    return x
 
 
 def _smooth_point(problem: Srq2Problem, x) -> _Point:
     """``_point`` at x normalized; raises NondifferentiablePointError where
     a quotient denominator vanishes."""
-    p = _point(problem, linalg.normalize(np.asarray(x, dtype=np.complex128).ravel()))
+    p = _point(problem, linalg.normalize(_vector(x, problem.n)))
     if not p.smooth:
         raise NondifferentiablePointError(
             "a quotient denominator vanishes at this point"
@@ -266,7 +270,7 @@ def objective(problem: Srq2Problem, x) -> float:
     """Quotient-sum value at any nonzero x (scale invariant).  A quotient
     whose numerator and denominator both vanish contributes 0; a vanishing
     denominator under a positive numerator makes the value +inf."""
-    return _point(problem, np.asarray(x, dtype=np.complex128).ravel()).value
+    return _point(problem, _vector(x, problem.n)).value
 
 
 class _Residual(NamedTuple):
@@ -514,18 +518,19 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     and ``_downdated_bottom`` takes its smallest eigenvector from w, V and
     z = V* x_k by a secular-equation root, in O(n^2).
 
-    Once x sits at the bottom of H(x)'s spectrum, that is once the residual
-    against the smallest eigenvalue w0, || H(x) x - w0 x || / (||H(x)||_1 + 1),
-    is at most 1e-3, the iteration switches to Newton's method on the
-    sphere (``_newton_step``), which converges quadratically near a
-    nondegenerate minimizer.  The residual against the Rayleigh quotient
-    would not do as the switch test: it is small next to stationary points
-    paired with a higher eigenvalue, which Newton's method would then find.
-    Unshifted sweeps can also oscillate about a minimizer with that
-    residual stuck just above 1e-3; once it is above 0.75 times its value
-    100 consecutive sweeps earlier (a stall), the switch is at 1e-2.
-    Newton steps diagonalize nothing; the first rejected step returns to
-    the level-shifted sweeps from the same iterate.
+    Once x sits at the bottom of H(x)'s spectrum, the iteration switches to
+    Newton's method on the sphere (``_newton_step``), which converges
+    quadratically near a nondegenerate minimizer.  The one test reads the
+    sweep's eigenvalues w0 <= w1 <= ...: the residual r0 = || H(x) x - w0 x ||
+    is at most 1e-3 (||H(x)||_1 + 1), or at most 0.1 (w1 - w0), which bounds
+    the angle to the bottom eigenvector by sin <= 0.1 (Davis & Kahan 1970;
+    the gap is +inf at n = 1).  The gap term hands over runs whose sweeps
+    creep towards a minimizer with r0 just above the first bound.  The
+    residual against the Rayleigh quotient would not do as the switch test:
+    it is small next to stationary points paired with a higher eigenvalue,
+    which Newton's method would then find.  Newton steps diagonalize
+    nothing; the first rejected step returns to the level-shifted sweeps
+    from the same iterate.
 
     Convergence is declared when the relative fixed-point residual
     || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to 1e-10.  A
@@ -538,18 +543,13 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     by floating-point noise at most.  ``iterations`` counts sweeps and
     Newton steps; ``shifts_used`` holds the shifts of accepted sweeps only.
     """
-    x = linalg.fix_phase(linalg.normalize(np.asarray(x0, dtype=np.complex128).ravel()))
-    if x.size != problem.n:
-        raise ValueError(f"x0 must have length {problem.n}")
-    p = _point(problem, x)
+    p = _point(problem, linalg.fix_phase(linalg.normalize(_vector(x0, problem.n, "x0"))))
     if not p.smooth:
         return _solution(
             problem, p, None, iterations=0, shifts=(), source=SOURCE_SCF, converged=False
         )
     res = _residual(problem, p)
     shifts: list[float] = []
-    # residuals against w0 of the sweeps since the last Newton step
-    trail: list[float] = []
     newton = False
     converged = False
     for k in range(_MAX_SWEEPS + 1):
@@ -564,16 +564,11 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
         else:
             w, vecs = np.linalg.eigh(res.h)
             r0 = float(np.linalg.norm(res.hx - w[0] * p.x))
-            trail.append(r0 / (res.norm1 + 1.0))
-            stalled = (
-                len(trail) > _STALL_SWEEPS
-                and trail[-1] > _STALL_RATIO * trail[-1 - _STALL_SWEEPS]
-            )
-            if r0 <= (_STALL_SWITCH if stalled else _NEWTON_SWITCH) * (res.norm1 + 1.0):
+            gap = float(w[1] - w[0]) if w.size > 1 else math.inf
+            if r0 <= max(_NEWTON_SWITCH * (res.norm1 + 1.0), _GAP_SWITCH * gap):
                 step = _newton_step(problem, p, res)
         if step is not None:
             newton = True
-            trail.clear()
             p, res = step
             continue
         if newton:
@@ -790,12 +785,7 @@ def _batch_polish(problem, X, f, steps):
     t = np.ones(X.shape[1])
     for _ in range(steps):
         q1, q2, _, nrm2, d1, d2, y = _batch_forms(problem, X)
-        live = (
-            (d1 > problem.den_eps1 * nrm2)
-            & (d2 > problem.den_eps2 * nrm2)
-            & np.isfinite(f)
-            & (t > _MIN_STEP)
-        )
+        live = _smooth(problem, nrm2, d1, d2) & np.isfinite(f) & (t > _MIN_STEP)
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break

@@ -3,11 +3,12 @@ finite differences, SCF convergence on the reference problem, degenerate
 candidates, and agreement with the sampled oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rosen_bkerr import linalg, srq2
+from rosen_bkerr import jnr, linalg, srq2
 from support import (
     SOLVE_VALUE,
     X_STAR_1,
@@ -392,6 +393,61 @@ def _rounding_slack(problem, X):
     return 8 * np.finfo(float).eps * slack
 
 
+def test_solver_and_oracle_share_one_quotient_rule():
+    # srq2.objective (one point at a time) and the oracle's _batch_objective
+    # (a column per point) at random points, the 0/0 candidates and points
+    # supported on null(A3) or on range(A3), where a denominator vanishes
+    rng = np.random.default_rng(31)
+    zero_over_zero = infinite = 0
+    for template in srq2.PATTERN_TEMPLATES:
+        for n in (3, 5, 8):
+            problem = srq2.random_problem(n, rng, template, rank_deficient=True)
+            mask = np.diag(problem.a3).real
+            cols = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(8)]
+            cols += [c.x for c in srq2.nondiff_candidates(problem)]
+            for support in (mask == 0.0, mask == 1.0):
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                cols.append(np.where(support, z, 0.0))
+            X = np.column_stack([linalg.normalize(c) for c in cols])
+            batch = srq2._batch_objective(problem, X)
+            for x, want in zip(X.T.copy(), batch):
+                got = srq2.objective(problem, x)
+                p = srq2._point(problem, x)
+                if math.isinf(want):
+                    assert got == want and not p.smooth, (template, n, got)
+                    infinite += 1
+                    continue
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (template, n)
+                if not p.smooth:
+                    # a 0/0 quotient contributes exactly 0 to the other one
+                    pairs = ((p.q1, p.d1, problem.den_eps1), (p.q2, p.d2, problem.den_eps2))
+                    assert got == sum(q / d for q, d, eps in pairs if d > eps), (template, n)
+                    zero_over_zero += 1
+    assert zero_over_zero > 0 and infinite > 0
+
+
+@pytest.mark.parametrize(
+    "x", [[np.nan, 1.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+)
+@pytest.mark.parametrize(
+    "entry",
+    ["objective", "scf_solve", "nepv_residuals", "nepv_matrix", "rho", "optimality_certificate"],
+)
+def test_vector_entry_points_reject_malformed_x(entry, x):
+    problem = srq2.random_problem(4, np.random.default_rng(0), "ABCP")
+    triple = (problem.a1, problem.a2, problem.a3)
+    params = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
+    call = {
+        "rho": lambda: jnr.rho(triple, x),
+        "optimality_certificate": lambda: jnr.optimality_certificate(triple, params, x),
+    }.get(entry, lambda: getattr(srq2, entry)(problem, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call()
+    assert not isinstance(err.value, srq2.NondifferentiablePointError)
+
+
 @pytest.mark.parametrize("kind, problem", _ladder_problems())
 def test_ladder_matches_direct_evaluation(kind, problem):
     rng = np.random.default_rng(23)
@@ -658,10 +714,8 @@ _STALL_A2 = np.array(
 )
 
 
-def test_stalled_sweeps_hand_over_to_newton(monkeypatch):
-    # every run used to reach the 400-sweep cap at about 0.8025677; once the
-    # stall is detected, Newton steps take the runs to the minimum
-    problem = srq2.Srq2Problem(_STALL_A1, _STALL_A2, np.diag([0.0, 1.0]), 1.0, 0.0, 0.0, 1.0)
+def _recorded_solve(monkeypatch, problem, seed):
+    """``solve(problem, restarts=5, seed=seed)`` and the SCF runs it made."""
     engine = srq2.scf_solve
     runs = []
 
@@ -671,12 +725,52 @@ def test_stalled_sweeps_hand_over_to_newton(monkeypatch):
         return sol
 
     monkeypatch.setattr(srq2, "scf_solve", recorded)
-    sol = srq2.solve(problem, restarts=5, seed=1739585356)
+    return srq2.solve(problem, restarts=5, seed=seed), runs
+
+
+def test_stalled_sweeps_hand_over_to_newton(monkeypatch):
+    # every run used to reach the 400-sweep cap at about 0.8025677; the
+    # sweeps creep towards the minimizer with the residual against w0 just
+    # above 1e-3 (||H||_1 + 1), and the Newton steps the gap term of the
+    # switch lets in take the runs to the minimum
+    problem = srq2.Srq2Problem(_STALL_A1, _STALL_A2, np.diag([0.0, 1.0]), 1.0, 0.0, 0.0, 1.0)
+    sol, runs = _recorded_solve(monkeypatch, problem, 1739585356)
     assert len(runs) == 7
     assert all(r.converged and r.iterations < srq2._MAX_SWEEPS for r in runs), [
         (r.iterations, r.rel_residual) for r in runs
     ]
     assert sol.value == pytest.approx(0.8025486106411, abs=1e-12)
+    assert sol.value <= srq2.brute_force_oracle(problem, 2000, seed=1) + 1e-12
+
+
+# The BCP quotient problem of another small backward-error case (r = n = 1,
+# d = 0), with eigengap w1 - w0 of about 3 at its minimizer.  Accepted
+# sweeps alternate between two points with the residual against w0 at about
+# 1.6e-3 (||H||_1 + 1), so the runs used to reach the 400-sweep cap at
+# 1.0137777, 1.1e-5 above the minimum.
+_CAPPED_A1 = np.array(
+    [
+        [1.3914107658602102, -0.011159945726480214 - 0.3515841574084059j],
+        [-0.011159945726480214 + 0.3515841574084059j, 0.08892842226407496],
+    ]
+)
+_CAPPED_A2 = np.array(
+    [
+        [0.6008031888236838, 0.9718223350190918 - 0.555562140239741j],
+        [0.9718223350190918 + 0.555562140239741j, 2.0856879021616876],
+    ]
+)
+
+
+@pytest.mark.parametrize("seed", [1055478841, 0, 1, 2, 3])
+def test_creeping_sweeps_hand_over_to_newton_by_the_gap(monkeypatch, seed):
+    problem = srq2.Srq2Problem(_CAPPED_A1, _CAPPED_A2, np.diag([0.0, 1.0]), 0.0, 1.0, 1.0, 0.0)
+    sol, runs = _recorded_solve(monkeypatch, problem, seed)
+    assert len(runs) == 7
+    assert all(r.converged and r.iterations < srq2._MAX_SWEEPS for r in runs), [
+        (r.iterations, r.rel_residual) for r in runs
+    ]
+    assert sol.value == pytest.approx(1.013766932563015, abs=1e-12)
     assert sol.value <= srq2.brute_force_oracle(problem, 2000, seed=1) + 1e-12
 
 
@@ -826,19 +920,10 @@ def test_runs_stop_on_zero_over_zero_set(monkeypatch):
     # an ACP instance (n = 12) whose minimum is a degenerate candidate: the
     # runs stop where a sweep reaches the 0/0 set instead of sweeping on
     problem = _reference_corpus_instance(17, 32)
-    engine = srq2.scf_solve
-    runs = []
-
-    def recorded(*args, **kwargs):
-        sol = engine(*args, **kwargs)
-        runs.append(sol)
-        return sol
-
-    monkeypatch.setattr(srq2, "scf_solve", recorded)
-    value = srq2.solve(problem, restarts=5, seed=32).value
+    best, runs = _recorded_solve(monkeypatch, problem, 32)
     assert len(runs) >= 5
     assert all(sol.iterations <= 5 for sol in runs), [sol.iterations for sol in runs]
-    assert value == min(c.value for c in srq2.nondiff_candidates(problem))
+    assert best.value == min(c.value for c in srq2.nondiff_candidates(problem))
 
 
 def test_scf_start_on_zero_over_zero_set_is_returned_as_is():
