@@ -317,6 +317,7 @@ def backward_error(
     transposed route solves its inner pattern on the transposed system;
     the perturbation is mapped back and certified on the original system.
     """
+    srq2._require_nonnegative(restarts=restarts, seed=seed)  # on every route
     view = _shift(system, lam, pattern)
     route = view.route
     solver = witness = None

@@ -284,6 +284,21 @@ class _Residual(NamedTuple):
     norm1: float
     rel: float
 
+    @property
+    def aufbau_bound(self) -> float:
+        """The aufbau condition (x pairs with lambda_min(H(x))) bounds the gap
+        s - lambda_min(H(x)) by this; ``scf_solve`` holds converged runs to it."""
+        return 1e-9 * (self.norm1 + 1.0)
+
+    def at_bottom(self) -> bool:
+        """Whether the gap is within ``aufbau_bound``, by one Cholesky: by
+        Sylvester's law of inertia, exactly when H(x) - (s - bound) I > 0."""
+        try:
+            np.linalg.cholesky(self.h - (self.s - self.aufbau_bound) * np.eye(len(self.h)))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
 
 def _residual(problem: Srq2Problem, p: _Point) -> _Residual:
     """H(x) and its residual data at the unit vector of the smooth point p."""
@@ -310,11 +325,7 @@ class ResidualInfo(NamedTuple):
     rel_residual: float
     smallest_eig_gap: float
     norm1: float
-
-    @property
-    def aufbau_bound(self) -> float:
-        """The aufbau condition (x pairs with lambda_min(H(x))) bounds the gap by this."""
-        return 1e-9 * (self.norm1 + 1.0)
+    aufbau_bound = _Residual.aufbau_bound  # one bound for the runs and the certificate
 
 
 def _info(res: _Residual, x: np.ndarray) -> ResidualInfo:
@@ -343,7 +354,8 @@ class Srq2Solution:
     steps and ``shifts_used`` holds the level shift of each accepted sweep;
     ``source`` records which search produced the point: SOURCE_SCF, or
     SOURCE_NONDIFF_1 or SOURCE_NONDIFF_2 for a closed-form candidate where
-    that quotient is 0/0 (0 iterations, ``converged`` True).
+    that quotient is 0/0 (0 iterations, ``converged`` True).  An SCF run is
+    ``converged`` when it ended on an aufbau point (see ``scf_solve``).
     """
 
     x: np.ndarray
@@ -532,9 +544,13 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     nothing; the first rejected step returns to the level-shifted sweeps
     from the same iterate.
 
-    Convergence is declared when the relative fixed-point residual
-    || H(x) x - (x* H(x) x) x || / (||H(x)||_1 + 1) drops to 1e-10.  A
-    run also stops, flagged ``converged=False``, on the sweep cap (400), on
+    Convergence is declared at an aufbau point: the relative residual
+    || H(x) x - s x || / (||H(x)||_1 + 1), s = x* H(x) x, is at most 1e-10
+    and s - lambda_min(H(x)) is within ``aufbau_bound``, as at a global
+    minimizer for n >= 3 (``_Residual.at_bottom``, one Cholesky).  A
+    stationary point off the bottom, a saddle, takes no Newton step but a
+    sweep, whose sigma = 0 proposal is the bottom eigenvector.  A run also
+    stops, flagged ``converged=False``, on the sweep cap (400), on
     shift-search exhaustion (40 shifts tried in one sweep), or when a
     sweep's descent lands on the 0/0 set, where H(x) is undefined and the
     closed-form candidates of ``nondiff_candidates`` take over; a start on
@@ -551,22 +567,17 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     res = _residual(problem, p)
     shifts: list[float] = []
     newton = False
-    converged = False
     for k in range(_MAX_SWEEPS + 1):
-        if res.rel <= _CONVERGED:
-            converged = True
+        stationary = res.rel <= _CONVERGED  # off the bottom, it escapes by a sweep
+        converged = stationary and res.at_bottom()
+        if converged or k == _MAX_SWEEPS:
             break
-        if k == _MAX_SWEEPS:
-            break
-        step = None
-        if newton:
-            step = _newton_step(problem, p, res)
-        else:
+        if not newton:
             w, vecs = np.linalg.eigh(res.h)
             r0 = float(np.linalg.norm(res.hx - w[0] * p.x))
             gap = float(w[1] - w[0]) if w.size > 1 else math.inf
-            if r0 <= max(_NEWTON_SWITCH * (res.norm1 + 1.0), _GAP_SWITCH * gap):
-                step = _newton_step(problem, p, res)
+        switch = newton or r0 <= max(_NEWTON_SWITCH * (res.norm1 + 1.0), _GAP_SWITCH * gap)
+        step = _newton_step(problem, p, res) if switch and not stationary else None
         if step is not None:
             newton = True
             p, res = step
@@ -577,16 +588,11 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
         delta = float(w[1] - w[0]) if w.size > 1 else 0.0
         if delta <= 1e-14:
             delta = linalg.threshold(1e-8, res.norm1)
-        z = None
         for t in range(_MAX_SHIFT_TRIES):
-            if t == 0:
-                sigma = 0.0
-                v = vecs[:, 0]
-            else:
-                sigma = 2.0**t * delta
-                if z is None:
-                    z = vecs.conj().T @ p.x
-                v = _downdated_bottom(w, vecs, z, sigma)
+            sigma = 2.0**t * delta if t else 0.0
+            if t == 1:
+                z = vecs.conj().T @ p.x
+            v = _downdated_bottom(w, vecs, z, sigma) if t else vecs[:, 0]
             cand = _point(problem, linalg.fix_phase(v))
             if cand.value < p.value - _SHIFT_SLACK:
                 break
@@ -681,18 +687,22 @@ def _pick_best(candidates: list[Srq2Solution]) -> Srq2Solution:
     return min(pool, key=key)
 
 
+def _require_nonnegative(**values) -> None:
+    """ValueError naming the first negative one of ``values``, a seed or a count."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
 def solve(problem: Srq2Problem, *, restarts: int = 5, seed: int = 0) -> Srq2Solution:
     """Global minimization: SCF runs from ``restarts`` seeded random unit
     starts plus the two single-quotient minimizers, unioned with the
     degenerate 0/0 candidates, returning the Srq2Solution of lowest
     objective value.  Ties break on convergence, then on the relative
     residual, then on the phase-fixed minimizer entries, so the result is
-    deterministic for a given seed.  Only the winner's spectrum is taken: a
-    smooth winner x off the bottom of H(x)'s spectrum fails the aufbau
-    condition, which global minimizers meet for n >= 3, and one more SCF run
-    starts from the bottom eigenvector of H(x)."""
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    deterministic for a given seed.  Each run decides its own ``converged``
+    flag (``scf_solve``); nothing is run after the pick."""
+    _require_nonnegative(restarts=restarts, seed=seed)
     rng = np.random.default_rng(seed)
     n = problem.n
     starts = [
@@ -708,15 +718,7 @@ def solve(problem: Srq2Problem, *, restarts: int = 5, seed: int = 0) -> Srq2Solu
         candidates.extend(nondiff_candidates(problem))
     if not candidates:
         raise RuntimeError("no candidate solutions were produced")
-    best = _pick_best(candidates)
-    try:
-        info = nepv_residuals(problem, best.x)
-    except NondifferentiablePointError:  # a 0/0 winner
-        return best
-    if info.smallest_eig_gap > info.aufbau_bound:
-        run = scf_solve(problem, np.linalg.eigh(nepv_matrix(problem, best.x))[1][:, 0])
-        best = _pick_best([best, run])
-    return best
+    return _pick_best(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +846,7 @@ def brute_force_oracle(
     if budget <= 0:
         raise ValueError("budget must be positive")
     polish_steps, polish_top = int(polish_steps), int(polish_top)
-    if polish_steps < 0:
-        raise ValueError("polish_steps must be nonnegative")
-    if polish_top < 0:
-        raise ValueError("polish_top must be nonnegative")
+    _require_nonnegative(polish_steps=polish_steps, polish_top=polish_top)
     rng = np.random.default_rng(seed)
     n = problem.n
     X = rng.standard_normal((n, budget)) + 1j * rng.standard_normal((n, budget))

@@ -152,6 +152,21 @@ def test_eta_zero_at_eigenvalues_for_every_pattern():
         assert result.certificate.passed
 
 
+_FLAG_SYSTEM = random_system(np.random.default_rng(3), r=2, n=2, d=1)
+
+
+@pytest.mark.parametrize("flags", [{"restarts": -1}, {"seed": -1}])
+@pytest.mark.parametrize("pattern", [p.letters for p in all_patterns()])
+def test_negative_solver_flags_are_rejected_on_every_route(pattern, flags):
+    # pencil routes and the zero gate never reach srq2.solve, and a
+    # negative seed would reach numpy's generator; every route rejects both
+    # flags by name at entry, the zero gate included
+    (name,) = flags
+    for lam in (0.3 + 0.4j, refined_eigenvalues(_FLAG_SYSTEM, max_count=1)[0]):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            backward_error(_FLAG_SYSTEM, lam, pattern, **flags)
+
+
 # ---------------------------------------------------------------------------
 # Certificates across patterns and shapes.
 
@@ -271,9 +286,10 @@ def test_certify_rejects_a_stationary_point_off_the_bottom_of_the_spectrum(lette
 
 @pytest.mark.parametrize("letters", ["ABC", "ABP", "BCP", "ABCP"])
 def test_solve_leaves_a_winner_off_the_bottom_of_the_spectrum(letters, monkeypatch):
-    # every multistart run (5 random starts, 2 single-quotient starts) ends
-    # on the spurious point; no global minimizer is there, and the SCF run
-    # from the bottom eigenvector of H(x) reaches the minimum
+    # every multistart run (5 random starts, 2 single-quotient starts)
+    # starts on the spurious point; no global minimizer is there, and each
+    # run leaves it by itself, by a sweep from the bottom eigenvector of
+    # H(x), and ends on an aufbau point: solve makes no run of its own
     problem = srq2_problem_for(SPURIOUS_SYSTEM, SPURIOUS_LAMBDA, letters)
     spurious = _spurious_point(problem)
     minimum = srq2.solve(problem)
@@ -281,12 +297,15 @@ def test_solve_leaves_a_winner_off_the_bottom_of_the_spectrum(letters, monkeypat
     runs = []
 
     def stuck(quotient, x0):
-        runs.append(x0)
-        return engine(quotient, spurious.x if len(runs) <= 7 else x0)
+        runs.append(engine(quotient, spurious.x))
+        return runs[-1]
 
     monkeypatch.setattr(srq2, "scf_solve", stuck)
     sol = srq2.solve(problem)
-    assert len(runs) > 7
+    assert len(runs) == 7
+    for run in runs:
+        info = srq2.nepv_residuals(problem, run.x)
+        assert info.smallest_eig_gap <= info.aufbau_bound, (run.value, run.converged)
     assert sol.value == pytest.approx(minimum.value, rel=1e-10)
     info = srq2.nepv_residuals(problem, sol.x)
     assert info.smallest_eig_gap <= info.aufbau_bound

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from rosen_bkerr import jnr, linalg, srq2
+from rosen_bkerr.backward_error import srq2_problem_for
 from support import (
     SOLVE_VALUE,
     X_STAR_1,
     X_STAR_2,
     example_problem,
+    random_system,
 )
 
 
@@ -332,6 +334,10 @@ def test_oracle_deterministic():
 def test_solve_rejects_negative_restarts():
     with pytest.raises(ValueError, match="restarts"):
         srq2.solve(example_problem(), restarts=-3)
+    # a negative seed too, by name rather than by numpy's "expected
+    # non-negative integer"
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        srq2.solve(example_problem(), seed=-1)
 
 
 def test_oracle_rejects_negative_polish_settings():
@@ -772,6 +778,38 @@ def test_creeping_sweeps_hand_over_to_newton_by_the_gap(monkeypatch, seed):
     ]
     assert sol.value == pytest.approx(1.013766932563015, abs=1e-12)
     assert sol.value <= srq2.brute_force_oracle(problem, 2000, seed=1) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "seed, shape, letters",
+    [
+        (0, (60, 60, 2), "AP"),
+        (0, (60, 60, 2), "ABP"),
+        (0, (60, 60, 2), "ACP"),
+        (0, (10, 100, 1), "AP"),
+        (1, (60, 60, 2), "BC"),
+        (1, (60, 60, 2), "ABP"),
+        (1, (10, 100, 1), "BC"),
+        (2, (60, 60, 2), "ABC"),
+        (2, (60, 60, 2), "ACP"),
+        (2, (10, 100, 1), "AP"),
+        (2, (10, 100, 1), "BC"),
+    ],
+)
+def test_converged_runs_end_at_the_bottom_of_the_spectrum(monkeypatch, seed, shape, letters):
+    # backward-error problems at large n where Newton steps reach saddles,
+    # stationary points paired with a higher eigenvalue of H(x) than the
+    # smallest (14 runs over these 11 solves); a run must not report
+    # convergence there, so every converged run is an aufbau point
+    system = random_system(np.random.default_rng(1000 + seed), *shape)
+    problem = srq2_problem_for(system, 0.3 + 0.4j, letters)
+    _, runs = _recorded_solve(monkeypatch, problem, seed)
+    gaps = []
+    for run in runs:
+        if run.converged:
+            info = srq2.nepv_residuals(problem, run.x)
+            gaps.append(info.smallest_eig_gap / info.aufbau_bound)
+    assert gaps and max(gaps) <= 1.0, gaps
 
 
 def _reference_scf(problem, x0, *, max_iter=400, tol=1e-10, max_shift_tries=40):
