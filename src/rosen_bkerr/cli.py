@@ -442,7 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the solver settings of every command that solves
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--restarts", type=int, default=5)
+    solver.add_argument(
+        "--restarts",
+        type=int,
+        default=5,
+        help="most seeded random SCF starts per two-quotient solve, run only "
+        "when the two single-quotient starts do not agree (default 5)",
+    )
     solver.add_argument("--seed", type=int, default=0)
 
     p_compute = sub.add_parser(

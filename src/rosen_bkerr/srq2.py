@@ -667,12 +667,18 @@ def _vector_key(x: np.ndarray) -> tuple:
     return tuple(float(part) for entry in x for part in (entry.real, entry.imag))
 
 
+def _tie_bound(candidates: list[Srq2Solution]) -> float:
+    """The highest value tied with the best of ``candidates`` within
+    floating-point noise."""
+    best = min(c.value for c in candidates)
+    return best + linalg.threshold(linalg.ZERO_TOL, abs(best))
+
+
 def _pick_best(candidates: list[Srq2Solution]) -> Srq2Solution:
     """Lowest value wins; among candidates tied within floating-point noise
     of the best value, prefer converged ones, then lower residual, then the
     lexicographically smallest phase-fixed vector (for determinism)."""
-    best = min(c.value for c in candidates)
-    tie = best + linalg.threshold(linalg.ZERO_TOL, abs(best))
+    tie = _tie_bound(candidates)
     pool = [c for c in candidates if c.value <= tie]
 
     def key(sol: Srq2Solution) -> tuple:
@@ -695,27 +701,37 @@ def _require_nonnegative(**values) -> None:
 
 
 def solve(problem: Srq2Problem, *, restarts: int = 5, seed: int = 0) -> Srq2Solution:
-    """Global minimization: SCF runs from ``restarts`` seeded random unit
-    starts plus the two single-quotient minimizers, unioned with the
+    """Global minimization: SCF runs from the two single-quotient minimizers
+    and from at most ``restarts`` seeded random unit starts, unioned with the
     degenerate 0/0 candidates, returning the Srq2Solution of lowest
-    objective value.  Ties break on convergence, then on the relative
-    residual, then on the phase-fixed minimizer entries, so the result is
+    objective value.  The random starts are skipped when both
+    single-quotient runs converged (so both are aufbau points), both tie
+    with the best candidate within floating-point noise, and one of them is
+    the pick; an aufbau point need not be global, so one run alone never
+    settles it.  Ties break on convergence, then on the relative residual,
+    then on the phase-fixed minimizer entries, so the result is
     deterministic for a given seed.  Each run decides its own ``converged``
     flag (``scf_solve``); nothing is run after the pick."""
     _require_nonnegative(restarts=restarts, seed=seed)
+
+    def run_all(starts):
+        return _parallel.parallel_map(lambda x0: scf_solve(problem, x0), starts)
+
+    runs = run_all(_single_quotient_starts(problem))
+    degenerate = nondiff_candidates(problem) if problem.common_null_ok else []
+    if len(runs) == 2:
+        tie = _tie_bound(runs + degenerate)
+        best = _pick_best(runs + degenerate)
+        if best.source == SOURCE_SCF and all(r.converged and r.value <= tie for r in runs):
+            return best
+
     rng = np.random.default_rng(seed)
     n = problem.n
     starts = [
         linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         for _ in range(int(restarts))
     ]
-    starts.extend(_single_quotient_starts(problem))
-
-    candidates: list[Srq2Solution] = _parallel.parallel_map(
-        lambda x0: scf_solve(problem, x0), starts
-    )
-    if problem.common_null_ok:
-        candidates.extend(nondiff_candidates(problem))
+    candidates = run_all(starts) + runs + degenerate
     if not candidates:
         raise RuntimeError("no candidate solutions were produced")
     return _pick_best(candidates)
@@ -846,7 +862,7 @@ def brute_force_oracle(
     if budget <= 0:
         raise ValueError("budget must be positive")
     polish_steps, polish_top = int(polish_steps), int(polish_top)
-    _require_nonnegative(polish_steps=polish_steps, polish_top=polish_top)
+    _require_nonnegative(polish_steps=polish_steps, polish_top=polish_top, seed=seed)
     rng = np.random.default_rng(seed)
     n = problem.n
     X = rng.standard_normal((n, budget)) + 1j * rng.standard_normal((n, budget))

@@ -286,10 +286,11 @@ def test_certify_rejects_a_stationary_point_off_the_bottom_of_the_spectrum(lette
 
 @pytest.mark.parametrize("letters", ["ABC", "ABP", "BCP", "ABCP"])
 def test_solve_leaves_a_winner_off_the_bottom_of_the_spectrum(letters, monkeypatch):
-    # every multistart run (5 random starts, 2 single-quotient starts)
-    # starts on the spurious point; no global minimizer is there, and each
-    # run leaves it by itself, by a sweep from the bottom eigenvector of
-    # H(x), and ends on an aufbau point: solve makes no run of its own
+    # every SCF run starts on the spurious point; no global minimizer is
+    # there, and each run leaves it by itself, by a sweep from the bottom
+    # eigenvector of H(x), and ends on an aufbau point: solve makes no run
+    # of its own.  Both single-quotient runs land on one point, so they
+    # agree and the random starts are skipped
     problem = srq2_problem_for(SPURIOUS_SYSTEM, SPURIOUS_LAMBDA, letters)
     spurious = _spurious_point(problem)
     minimum = srq2.solve(problem)
@@ -302,7 +303,7 @@ def test_solve_leaves_a_winner_off_the_bottom_of_the_spectrum(letters, monkeypat
 
     monkeypatch.setattr(srq2, "scf_solve", stuck)
     sol = srq2.solve(problem)
-    assert len(runs) == 7
+    assert len(runs) == 2
     for run in runs:
         info = srq2.nepv_residuals(problem, run.x)
         assert info.smallest_eig_gap <= info.aufbau_bound, (run.value, run.converged)
@@ -314,6 +315,25 @@ def test_solve_leaves_a_winner_off_the_bottom_of_the_spectrum(letters, monkeypat
 def _random_unitary(rng, k):
     q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_one_converged_single_quotient_run_does_not_skip_the_random_starts(monkeypatch):
+    # AP has one single-quotient start here, and its run converges to an
+    # aufbau point of value 1.1249 against the minimum 1.0399 (eta 1.0606
+    # against 1.0198); only the random starts find the minimum
+    system = random_system(np.random.default_rng(79), 4, 6, 1)
+    engine = srq2.scf_solve
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(engine(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(srq2, "scf_solve", recorded)
+    result = backward_error(system, 0.3 + 0.4j, "AP", restarts=5, seed=79)
+    assert result.eta == pytest.approx(1.0197538494312088, rel=1e-12)
+    assert result.certificate.passed
+    assert len(runs) == 6
 
 
 @pytest.mark.parametrize("seed", [0, 1])

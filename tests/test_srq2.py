@@ -348,6 +348,12 @@ def test_oracle_rejects_negative_polish_settings():
         srq2.brute_force_oracle(problem, 50, polish_top=-1)
 
 
+def test_oracle_rejects_negative_seed():
+    # by name rather than by numpy's "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        srq2.brute_force_oracle(example_problem(), 50, seed=-1)
+
+
 def test_oracle_polish_top_zero_or_budget_polishes_every_sample():
     problem = example_problem()
     values = {
@@ -720,6 +726,21 @@ _STALL_A2 = np.array(
 )
 
 
+def _random_starts(n, seed):
+    """The random unit starts ``solve(restarts=5, seed=seed)`` draws."""
+    rng = np.random.default_rng(seed)
+    return [
+        linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(5)
+    ]
+
+
+def _seeded_runs(problem, seed):
+    """One ``scf_solve`` from each start ``solve(restarts=5, seed=seed)`` may
+    run: its random starts, then the single-quotient minimizers."""
+    starts = _random_starts(problem.n, seed) + srq2._single_quotient_starts(problem)
+    return [srq2.scf_solve(problem, x0) for x0 in starts]
+
+
 def _recorded_solve(monkeypatch, problem, seed):
     """``solve(problem, restarts=5, seed=seed)`` and the SCF runs it made."""
     engine = srq2.scf_solve
@@ -734,13 +755,66 @@ def _recorded_solve(monkeypatch, problem, seed):
     return srq2.solve(problem, restarts=5, seed=seed), runs
 
 
-def test_stalled_sweeps_hand_over_to_newton(monkeypatch):
+def _agreeing_problems():
+    """Problems with no 0/0 candidate whose two single-quotient runs converge
+    to one value: the reference problem, then the first ones drawn."""
+    rng = np.random.default_rng(23)
+    out = [example_problem()]
+    while len(out) < 7:
+        template = srq2.PATTERN_TEMPLATES[len(out) % 7]
+        problem = srq2.random_problem(3 + len(out) % 4, rng, template)
+        runs = [srq2.scf_solve(problem, x0) for x0 in srq2._single_quotient_starts(problem)]
+        if (
+            len(runs) == 2
+            and all(r.converged for r in runs)
+            and abs(runs[0].value - runs[1].value) <= 1e-12 * max(1.0, abs(runs[0].value))
+            and not srq2.nondiff_candidates(problem)
+        ):
+            out.append(problem)
+    return out
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_agreeing_single_quotient_runs_skip_the_random_starts(monkeypatch, index):
+    problem = _agreeing_problems()[index]
+    sol, runs = _recorded_solve(monkeypatch, problem, index)
+    assert len(runs) == 2
+    monkeypatch.undo()
+    random_runs = [srq2.scf_solve(problem, x0) for x0 in _random_starts(problem.n, index)]
+    # the winner may trade the last bits of its value for a lower residual
+    least = min(r.value for r in runs + random_runs)
+    assert sol.value <= least + 1e-12 * max(1.0, abs(least))
+
+
+def test_solve_without_restarts_picks_among_the_deterministic_candidates():
+    # restarts=0 runs the single-quotient starts and nothing else, whether
+    # or not their runs agree
+    rng = np.random.default_rng(31)
+    agreeing = 0
+    for k in range(28):
+        template = srq2.PATTERN_TEMPLATES[k % 7]
+        problem = srq2.random_problem(2 + k % 4, rng, template, rank_deficient=(k % 3 == 2))
+        runs = [srq2.scf_solve(problem, x0) for x0 in srq2._single_quotient_starts(problem)]
+        agreeing += len(runs) == 2 and all(r.converged for r in runs)
+        degenerate = srq2.nondiff_candidates(problem) if problem.common_null_ok else []
+        want = srq2._pick_best(runs + degenerate)
+        got = srq2.solve(problem, restarts=0, seed=k)
+        assert (got.value, got.source, got.x.tobytes()) == (
+            want.value,
+            want.source,
+            want.x.tobytes(),
+        ), (k, template)
+    assert 0 < agreeing < 28
+
+
+def test_stalled_sweeps_hand_over_to_newton():
     # every run used to reach the 400-sweep cap at about 0.8025677; the
     # sweeps creep towards the minimizer with the residual against w0 just
     # above 1e-3 (||H||_1 + 1), and the Newton steps the gap term of the
     # switch lets in take the runs to the minimum
     problem = srq2.Srq2Problem(_STALL_A1, _STALL_A2, np.diag([0.0, 1.0]), 1.0, 0.0, 0.0, 1.0)
-    sol, runs = _recorded_solve(monkeypatch, problem, 1739585356)
+    sol = srq2.solve(problem, restarts=5, seed=1739585356)
+    runs = _seeded_runs(problem, 1739585356)
     assert len(runs) == 7
     assert all(r.converged and r.iterations < srq2._MAX_SWEEPS for r in runs), [
         (r.iterations, r.rel_residual) for r in runs
@@ -769,9 +843,10 @@ _CAPPED_A2 = np.array(
 
 
 @pytest.mark.parametrize("seed", [1055478841, 0, 1, 2, 3])
-def test_creeping_sweeps_hand_over_to_newton_by_the_gap(monkeypatch, seed):
+def test_creeping_sweeps_hand_over_to_newton_by_the_gap(seed):
     problem = srq2.Srq2Problem(_CAPPED_A1, _CAPPED_A2, np.diag([0.0, 1.0]), 0.0, 1.0, 1.0, 0.0)
-    sol, runs = _recorded_solve(monkeypatch, problem, seed)
+    sol = srq2.solve(problem, restarts=5, seed=seed)
+    runs = _seeded_runs(problem, seed)
     assert len(runs) == 7
     assert all(r.converged and r.iterations < srq2._MAX_SWEEPS for r in runs), [
         (r.iterations, r.rel_residual) for r in runs
@@ -796,16 +871,15 @@ def test_creeping_sweeps_hand_over_to_newton_by_the_gap(monkeypatch, seed):
         (2, (10, 100, 1), "BC"),
     ],
 )
-def test_converged_runs_end_at_the_bottom_of_the_spectrum(monkeypatch, seed, shape, letters):
+def test_converged_runs_end_at_the_bottom_of_the_spectrum(seed, shape, letters):
     # backward-error problems at large n where Newton steps reach saddles,
     # stationary points paired with a higher eigenvalue of H(x) than the
-    # smallest (14 runs over these 11 solves); a run must not report
-    # convergence there, so every converged run is an aufbau point
+    # smallest (14 runs from the starts of these 11 solves); a run must not
+    # report convergence there, so every converged run is an aufbau point
     system = random_system(np.random.default_rng(1000 + seed), *shape)
     problem = srq2_problem_for(system, 0.3 + 0.4j, letters)
-    _, runs = _recorded_solve(monkeypatch, problem, seed)
     gaps = []
-    for run in runs:
+    for run in _seeded_runs(problem, seed):
         if run.converged:
             info = srq2.nepv_residuals(problem, run.x)
             gaps.append(info.smallest_eig_gap / info.aufbau_bound)
@@ -901,23 +975,15 @@ def test_scf_engine_never_worse_than_level_shifted_reference(monkeypatch):
     # or without the Newton endgame, and only the value is compared.  This
     # corpus holds one such instance; every other run must converge.
     rng = np.random.default_rng(16)
-    engine = srq2.scf_solve
     on_degenerate_set = 0
     k = 0
     for n in (2, 3, 4, 8, 12):
         for template in srq2.PATTERN_TEMPLATES:
             problem = srq2.random_problem(n, rng, template, rank_deficient=(k % 3 == 2))
-            runs = []
-
-            def recorded(*args, **kwargs):
-                sol = engine(*args, **kwargs)
-                runs.append(sol)
-                return sol
-
-            monkeypatch.setattr(srq2, "scf_solve", recorded)
             value = srq2.solve(problem, restarts=5, seed=k).value
-            monkeypatch.setattr(srq2, "scf_solve", _reference_scf)
-            reference = srq2.solve(problem, restarts=5, seed=k).value
+            with monkeypatch.context() as patch:
+                patch.setattr(srq2, "scf_solve", _reference_scf)
+                reference = srq2.solve(problem, restarts=5, seed=k).value
             # a sum of PSD quotients is never negative: below 0 is rounding
             slack = 1e-12 * max(1.0, abs(reference))
             assert max(value, 0.0) <= max(reference, 0.0) + slack, (k, value, reference)
@@ -925,8 +991,7 @@ def test_scf_engine_never_worse_than_level_shifted_reference(monkeypatch):
             if degenerate and min(degenerate) <= value + 1e-12 * max(1.0, abs(value)):
                 on_degenerate_set += 1
             else:
-                assert len(runs) >= 5
-                for sol in runs:
+                for sol in _seeded_runs(problem, k):
                     assert sol.converged and sol.iterations < 400, (k, sol.rel_residual)
             k += 1
     assert on_degenerate_set == 1
@@ -954,12 +1019,12 @@ def test_minimum_on_zero_over_zero_set_is_not_negative(seed, index):
     assert srq2.solve(problem, restarts=5, seed=index).value >= -1e-12
 
 
-def test_runs_stop_on_zero_over_zero_set(monkeypatch):
+def test_runs_stop_on_zero_over_zero_set():
     # an ACP instance (n = 12) whose minimum is a degenerate candidate: the
     # runs stop where a sweep reaches the 0/0 set instead of sweeping on
     problem = _reference_corpus_instance(17, 32)
-    best, runs = _recorded_solve(monkeypatch, problem, 32)
-    assert len(runs) >= 5
+    best = srq2.solve(problem, restarts=5, seed=32)
+    runs = _seeded_runs(problem, 32)
     assert all(sol.iterations <= 5 for sol in runs), [sol.iterations for sol in runs]
     assert best.value == min(c.value for c in srq2.nondiff_candidates(problem))
 
