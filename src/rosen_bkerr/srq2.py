@@ -700,6 +700,15 @@ def _require_nonnegative(**values) -> None:
             raise ValueError(f"{name} must be nonnegative")
 
 
+def _random_starts(n: int, restarts: int, seed: int) -> list[np.ndarray]:
+    """The ``restarts`` seeded random unit starts ``solve`` may run, in order."""
+    rng = np.random.default_rng(seed)
+    return [
+        linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for _ in range(int(restarts))
+    ]
+
+
 def solve(problem: Srq2Problem, *, restarts: int = 5, seed: int = 0) -> Srq2Solution:
     """Global minimization: SCF runs from the two single-quotient minimizers
     and from at most ``restarts`` seeded random unit starts, unioned with the
@@ -725,13 +734,7 @@ def solve(problem: Srq2Problem, *, restarts: int = 5, seed: int = 0) -> Srq2Solu
         if best.source == SOURCE_SCF and all(r.converged and r.value <= tie for r in runs):
             return best
 
-    rng = np.random.default_rng(seed)
-    n = problem.n
-    starts = [
-        linalg.normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for _ in range(int(restarts))
-    ]
-    candidates = run_all(starts) + runs + degenerate
+    candidates = run_all(_random_starts(problem.n, restarts, seed)) + runs + degenerate
     if not candidates:
         raise RuntimeError("no candidate solutions were produced")
     return _pick_best(candidates)
