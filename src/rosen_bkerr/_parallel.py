@@ -1,5 +1,5 @@
-"""The order-preserving map through which the independent inner loops run
-(the SCF restarts and the boundary directions)."""
+"""The order-preserving map through which ``srq2.solve`` runs its SCF
+starts (``jnr.boundary_sample`` batches its directions in one ``eigh``)."""
 
 from __future__ import annotations
 

@@ -392,10 +392,7 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Rosen
     view = _shift(system, lam, pattern)
     route, lam, s_mat, r = view.route, view.lam, view.em.s, view.em.r
     n, d = s_mat.shape[0] - r, system.d
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    if x.size != r + n:
-        raise ValueError(f"minimizer must have length {r + n}")
-    x = linalg.normalize(x)
+    x = linalg.normalize(linalg._direction(x, r + n))
     x1, x2 = x[:r], x[r:]
     res_tol = linalg.threshold(_FEAS_TOL, view.scale)
     trailing = np.concatenate([(lam**j) * x2 for j in range(d + 1)])
@@ -413,11 +410,13 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     """Re-derive every certification quantity from the result's stored
     (eta, x) at its own shift and pattern: rebuild the pattern perturbation
     at x, compare its aggregate norm with eta, measure the smallest singular
-    value of the perturbed evaluation, and recompute the pencil residual, or
-    on an SRQ2 route where H(x) is defined the stationarity residual and the
-    aufbau gap s - lambda_min(H(x)).  Passes only when every check meets its
-    bound."""
+    value of the perturbed evaluation, and recompute the pencil residual at
+    the unit x, or on an SRQ2 route where H(x) is defined the stationarity
+    residual and the aufbau gap s - lambda_min(H(x)).  Passes only when every
+    check meets its bound; only x's direction counts, and a non-finite, zero
+    or wrong-length x is a ValueError naming x."""
     view = _shift(system, result.lam, result.pattern)
+    x = None if result.x is None else linalg._direction(result.x, len(view.s))
     smin_bound = linalg.threshold(_FEAS_TOL, view.scale)
 
     if result.method == METHOD_ZERO_EIGENVALUE:
@@ -428,11 +427,11 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
         )
         return Certificate(checks, system - system, smin)
 
-    if not math.isfinite(result.eta) or result.x is None:
+    if not math.isfinite(result.eta) or x is None:
         raise ValueError("certify requires a finite result carrying a minimizer")
 
     try:
-        delta = reconstruct_perturbation(system, view.lam, view.pattern, result.x)
+        delta = reconstruct_perturbation(system, view.lam, view.pattern, x)
     except ReconstructionError as exc:
         return Certificate((), None, math.nan, failure=str(exc))
 
@@ -445,7 +444,6 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
         _check("sigma_min of the perturbed evaluation", smin, smin_bound),
     ]
 
-    x = np.asarray(result.x, dtype=np.complex128).ravel()
     nepv_residual = pencil_residual = None
     if view.route.kind == METHOD_SRQ2:
         try:
@@ -460,7 +458,7 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
             ]
     else:
         basis, m, nmat, _, scale = _pencil_data(view)
-        y = basis.conj().T @ x
+        y = basis.conj().T @ linalg.normalize(x)
         mu = eta**2 / scale
         pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))
         bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + mu * linalg.norm1(nmat))

@@ -253,15 +253,7 @@ def _write_output(text: str, out_path) -> None:
 # Subcommands.
 
 
-def _check_solver_flags(args) -> None:
-    """Reject settings no solve can run with: a negative seed or restart count."""
-    for name in ("seed", "restarts"):
-        if getattr(args, name) < 0:
-            raise CliInputError(f"{name} must be nonnegative")
-
-
 def cmd_compute(args) -> int:
-    _check_solver_flags(args)
     system = load_system_document(args.system)
     lam = parse_complex_literal(args.lam)
     try:
@@ -287,9 +279,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_jnr(args) -> int:
-    _check_solver_flags(args)
-    if args.samples < 1:
-        raise CliInputError("samples must be at least 1")
     doc = _read_object(args.system)
     where = str(args.system)
     if "A1" in doc:
@@ -352,14 +341,9 @@ def cmd_certify(args) -> int:
     x_field = doc.get("x")
     if x_field is None:
         raise CliInputError(f"{where}: result carries no minimizer to certify")
-    x = _pairs_to_vector(x_field, f"{where}: x")
-    if x.size != system.r + system.n:
-        raise CliInputError(f"{where}: x must have r+n = {system.r + system.n} entries")
-    if not x.any():
-        raise CliInputError(f"{where}: x must be nonzero")
     stored = BackwardErrorResult(
         eta=float(eta_field),
-        x=x,
+        x=_pairs_to_vector(x_field, f"{where}: x"),
         method=str(doc.get("method", "")),
         pattern=pattern,
         lam=lam,
@@ -381,15 +365,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _check_solver_flags(args)
     if args.n > 6:
         raise CliInputError("oracle-check supports n <= 6")
     if args.n < 2:
         raise CliInputError("oracle-check needs n >= 2")
-    if args.trials < 0:
-        raise CliInputError("trials must be nonnegative")
-    if args.budget < 1:
-        raise CliInputError("budget must be at least 1")
     if args.trials == 0:
         print("warning: zero trials requested; vacuously passing", file=sys.stderr)
         return EXIT_OK
@@ -490,10 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value of each integer flag, checked by ``main`` before any
+# command reads or writes a file.
+_FLAG_FLOORS = {"seed": 0, "restarts": 0, "samples": 1, "trials": 0, "budget": 1}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
+    try:
+        for flag, least in _FLAG_FLOORS.items():
+            if getattr(args, flag, least) < least:
+                floor = "nonnegative" if least == 0 else f"at least {least}"
+                raise CliInputError(f"{flag} must be {floor}")
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,6 +82,24 @@ def as_complex_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _direction(x, n: int, name: str = "x") -> np.ndarray:
+    """The one rule for a vector read only through its direction: x as a
+    finite nonzero complex vector of length n, else ValueError naming
+    ``name``.  An x whose largest real or imaginary part lies outside
+    [2^-500, 2^500] is scaled by the power of two that brings it into
+    [0.5, 1): exact, and squaring x then neither overflows nor underflows."""
+    x = np.array(x, dtype=np.complex128, copy=True).ravel()
+    if x.size != n:
+        raise ValueError(f"{name} must have length {n}")
+    parts = x.view(np.float64)
+    big = float(np.abs(parts).max())  # one reduction: NaN or inf unless x is finite
+    if not 0.0 < big < np.inf:
+        raise ValueError(f"{name} must be finite and nonzero")
+    if not 2.0**-500 <= big <= 2.0**500:
+        x = np.ldexp(parts, -np.frexp(big)[1]).view(np.complex128)
+    return x
+
+
 def norm1(m) -> float:
     """Matrix 1-norm (maximum absolute column sum); 0.0 for empty input."""
     m = np.asarray(m)

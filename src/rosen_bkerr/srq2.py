@@ -231,8 +231,6 @@ def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
     where both denominators are nonzero, ``_quotient_sum`` of the one column
     x elsewhere."""
     nrm2 = float(np.real(np.vdot(x, x)))
-    if nrm2 == 0.0:
-        raise ValueError("x must be nonzero")
     n = problem.n
     y = problem.stacked @ x
     q1 = float(np.real(np.vdot(x, y[:n])))
@@ -247,18 +245,10 @@ def _point(problem: Srq2Problem, x: np.ndarray) -> _Point:
     return _Point(x, y, q1, q2, d1, d2, value, smooth)
 
 
-def _vector(x, n: int, name: str = "x") -> np.ndarray:
-    """x as a finite complex vector of length n; ValueError otherwise."""
-    x = linalg.as_complex_vector(x, name)
-    if x.size != n:
-        raise ValueError(f"{name} must have length {n}")
-    return x
-
-
 def _smooth_point(problem: Srq2Problem, x) -> _Point:
     """``_point`` at x normalized; raises NondifferentiablePointError where
     a quotient denominator vanishes."""
-    p = _point(problem, linalg.normalize(_vector(x, problem.n)))
+    p = _point(problem, linalg.normalize(linalg._direction(x, problem.n)))
     if not p.smooth:
         raise NondifferentiablePointError(
             "a quotient denominator vanishes at this point"
@@ -270,7 +260,7 @@ def objective(problem: Srq2Problem, x) -> float:
     """Quotient-sum value at any nonzero x (scale invariant).  A quotient
     whose numerator and denominator both vanish contributes 0; a vanishing
     denominator under a positive numerator makes the value +inf."""
-    return _point(problem, _vector(x, problem.n)).value
+    return _point(problem, linalg._direction(x, problem.n)).value
 
 
 class _Residual(NamedTuple):
@@ -559,7 +549,7 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     by floating-point noise at most.  ``iterations`` counts sweeps and
     Newton steps; ``shifts_used`` holds the shifts of accepted sweeps only.
     """
-    p = _point(problem, linalg.fix_phase(linalg.normalize(_vector(x0, problem.n, "x0"))))
+    p = _point(problem, linalg.fix_phase(linalg.normalize(linalg._direction(x0, problem.n, "x0"))))
     if not p.smooth:
         return _solution(
             problem, p, None, iterations=0, shifts=(), source=SOURCE_SCF, converged=False

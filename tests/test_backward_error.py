@@ -217,6 +217,22 @@ def test_pencil_certificates_pass_on_size_ladder(shape):
             )
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e6, 1e200, 1e300])
+def test_certify_and_reconstruction_ignore_the_scale_of_x(c):
+    # squaring x unscaled overflows or underflows at all c but 1e6, where a
+    # pencil residual read at the unnormalized x would miss its bound
+    system = random_system(np.random.default_rng(0), 3, 4, 1)
+    for letters in ("A", "B", "CP", "AB", "ABCP"):
+        result = backward_error(system, 0.3 + 0.4j, letters)
+        assert result.certificate.passed, letters
+        norm = result.certificate.delta_norm
+        delta = reconstruct_perturbation(system, result.lam, letters, c * result.x)
+        assert delta.norm() == pytest.approx(norm, rel=1e-12), letters
+        cert = certify(system, replace(result, x=c * result.x))
+        assert cert.passed, (letters, [(k.name, k.value, k.bound) for k in cert.checks])
+        assert cert.delta_norm == pytest.approx(norm, rel=1e-12), letters
+
+
 def test_certify_rejects_corrupted_minimizer():
     rng = np.random.default_rng(6)
     system = random_system(rng, r=2, n=2, d=1)

@@ -536,6 +536,26 @@ def test_solving_commands_reject_invalid_solver_flags(tmp_path, capsys, command,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--system", "s.json", "--lambda", "0.0+0.0i", "--no-such-flag"],
+        ["compute", "--lambda", "0.0+0.0i"],
+        ["compute", "--system", "s.json", "--lambda", "0.0+0.0i", "--restarts", "abc"],
+    ],
+    ids=["unknown-flag", "missing-required-flag", "non-integer-value"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 means "computed but not certified"; argparse's own code would clash
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # oracle-check.
 

@@ -5,12 +5,18 @@ candidates, and agreement with the sampled oracle."""
 import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rosen_bkerr import jnr, linalg, srq2
-from rosen_bkerr.backward_error import srq2_problem_for
+from rosen_bkerr.backward_error import (
+    backward_error,
+    certify,
+    reconstruct_perturbation,
+    srq2_problem_for,
+)
 from support import (
     SOLVE_VALUE,
     X_STAR_1,
@@ -38,6 +44,27 @@ def test_objective_scale_invariant():
     f1 = srq2.objective(problem, x)
     f2 = srq2.objective(problem, 5.3 * x)
     assert f1 == pytest.approx(f2, rel=1e-13)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+def test_direction_entry_points_ignore_the_scale_of_x(c):
+    # squaring x unscaled overflows or underflows at these c
+    problem = example_problem()
+    triple = (problem.a1, problem.a2, problem.a3)
+    params = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
+    y = np.random.default_rng(2).standard_normal(3) + 0j
+
+    def at(v):
+        return (
+            srq2.objective(problem, v),
+            *srq2.nepv_residuals(problem, v),
+            srq2.scf_solve(problem, v).value,
+            jnr.optimality_certificate(triple, params, v).support_gap,
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert at(c * y) == pytest.approx(at(y), rel=1e-12, abs=1e-14)
 
 
 def test_objective_zero_over_zero_contributes_nothing():
@@ -444,19 +471,31 @@ def test_solver_and_oracle_share_one_quotient_rule():
 )
 @pytest.mark.parametrize(
     "entry",
-    ["objective", "scf_solve", "nepv_residuals", "nepv_matrix", "rho", "optimality_certificate"],
+    [
+        "objective",
+        "scf_solve",
+        "nepv_residuals",
+        "nepv_matrix",
+        "rho",
+        "optimality_certificate",
+        "reconstruct_perturbation",
+        "certify",
+    ],
 )
 def test_vector_entry_points_reject_malformed_x(entry, x):
     problem = srq2.random_problem(4, np.random.default_rng(0), "ABCP")
     triple = (problem.a1, problem.a2, problem.a3)
     params = (problem.alpha1, problem.beta1, problem.alpha2, problem.beta2)
+    system = random_system(np.random.default_rng(0), 2, 2, 1)  # r + n = 4
     call = {
         "rho": lambda: jnr.rho(triple, x),
         "optimality_certificate": lambda: jnr.optimality_certificate(triple, params, x),
+        "reconstruct_perturbation": lambda: reconstruct_perturbation(system, 0.3, "AB", x),
+        "certify": lambda: certify(system, replace(backward_error(system, 0.3, "AB"), x=x)),
     }.get(entry, lambda: getattr(srq2, entry)(problem, x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(ValueError, match=r"^x0? ") as err:
             call()
     assert not isinstance(err.value, srq2.NondifferentiablePointError)
 
