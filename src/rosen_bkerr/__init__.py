@@ -34,7 +34,6 @@ from .jnr import (
 from .linalg import (
     EigenConvergenceError,
     IndefiniteMatrixError,
-    InfeasibleMapError,
     NotPositiveDefiniteError,
     ZeroPencilError,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "EigenConvergenceError",
     "ErrorMatrices",
     "IndefiniteMatrixError",
-    "InfeasibleMapError",
     "JnrPoint",
     "NondifferentiablePointError",
     "NotPositiveDefiniteError",

@@ -357,23 +357,19 @@ def _row_maps(rhs: np.ndarray, parts: dict, open_blocks: str, res_tol: float) ->
     vanish but the row's residual does not."""
     opened = [v for k, v in parts.items() if k in open_blocks]
     v = np.concatenate(opened) if opened else np.zeros(0, dtype=np.complex128)
-    if np.linalg.norm(v) <= _FEAS_TOL:
-        if np.linalg.norm(rhs) > res_tol:
-            raise ReconstructionError(
-                "a block row is not annihilated at the minimizer and the "
-                f"pattern's blocks in it ({', '.join(parts)}) cannot act on it"
-            )
-        full = np.zeros((rhs.size, v.size), dtype=np.complex128)
-    else:
-        full = linalg.min_frobenius_map(v, rhs)
-    maps, start = [], 0
-    for k, part in parts.items():
-        if k in open_blocks:
-            maps.append(full[:, start : start + part.size])
-            start += part.size
-        else:
-            maps.append(np.zeros((rhs.size, part.size), dtype=np.complex128))
-    return maps
+    feasible = np.linalg.norm(v) > _FEAS_TOL
+    if not feasible and np.linalg.norm(rhs) > res_tol:
+        raise ReconstructionError(
+            "a block row is not annihilated at the minimizer and the "
+            f"pattern's blocks in it ({', '.join(parts)}) cannot act on it"
+        )
+    nv2 = float(np.real(np.vdot(v, v)))
+    return [
+        np.outer(rhs, part.conj()) / nv2
+        if feasible and k in open_blocks
+        else np.zeros((rhs.size, part.size), dtype=np.complex128)
+        for k, part in parts.items()
+    ]
 
 
 def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> RosenbrockSystem:

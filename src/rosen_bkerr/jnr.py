@@ -58,7 +58,9 @@ def rho(matrices, x) -> np.ndarray:
     """The real 3-vector [x* A1 x, x* A2 x, x* A3 x]; ValueError unless x is
     a finite vector of the matrices' order."""
     mats = _hermitian_triple(matrices)
-    x = linalg.as_complex_vector(x, "x")
+    x = np.array(x, dtype=np.complex128, copy=True).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite entries")
     if x.size != len(mats[0]):
         raise ValueError(f"x must have length {len(mats[0])}")
     return _forms(mats, x.reshape(-1, 1))[:, 0]

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernels shared by the whole package.
 
 Hermitian parts, definite and semidefinite generalized eigenvalue
-pencils, positive-semidefinite null spaces, minimal Frobenius-norm linear
-maps, and smallest singular values, all with numpy alone (one BLAS).  All
-functions accept array-likes, promote to complex128, reject non-finite
-input, and treat nominally Hermitian matrices defensively by symmetrizing.
+pencils, positive-semidefinite null spaces and smallest singular values,
+all with numpy alone (one BLAS).  All functions accept array-likes,
+promote to complex128, reject non-finite input, and treat nominally
+Hermitian matrices defensively by symmetrizing.
 
 Each matrix verdict is made here once: ``require_psd`` decides "positive
 semidefinite", ``semidefinite_pencil_smallest`` "zero right-hand side".
@@ -17,16 +17,13 @@ import numpy as np
 __all__ = [
     "EigenConvergenceError",
     "IndefiniteMatrixError",
-    "InfeasibleMapError",
     "NotPositiveDefiniteError",
     "ZERO_TOL",
     "ZeroPencilError",
     "as_complex_matrix",
-    "as_complex_vector",
     "definite_pencil_smallest",
     "fix_phase",
     "hermitian_part",
-    "min_frobenius_map",
     "norm1",
     "normalize",
     "psd_nullspace",
@@ -60,23 +57,12 @@ class IndefiniteMatrixError(ValueError):
     """A nominally positive-semidefinite matrix has a significantly negative eigenvalue."""
 
 
-class InfeasibleMapError(ValueError):
-    """No linear map D with D x = b exists because x = 0 while b != 0."""
-
-
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a fresh finite complex128 2-d array in
     C order."""
     arr = np.array(a, dtype=np.complex128, copy=True, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_complex_vector(a, name: str = "vector") -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128, copy=True).ravel()
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -105,8 +91,6 @@ def norm1(m) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    if m.ndim == 1:
-        return float(np.abs(m).sum())
     return float(np.linalg.norm(m, 1))
 
 
@@ -251,20 +235,6 @@ def psd_nullspace(m) -> np.ndarray:
     """
     V, null = _psd_split(hermitian_part(m), "matrix")
     return V[:, null].copy()
-
-
-def min_frobenius_map(x, b) -> np.ndarray:
-    """The unique minimal-Frobenius-norm matrix D with D x = b, namely
-    b x* / ||x||^2.  For x = 0: the zero matrix if b = 0, else the
-    constraint is infeasible."""
-    x = as_complex_vector(x, "x")
-    b = as_complex_vector(b, "b")
-    xn2 = float(np.real(np.vdot(x, x)))
-    if xn2 == 0.0:
-        if not b.any():
-            return np.zeros((b.size, x.size), dtype=np.complex128)
-        raise InfeasibleMapError("x = 0 with b != 0: no matrix D satisfies D x = b")
-    return np.outer(b, x.conj()) / xn2
 
 
 def smallest_singular_value(m) -> float:

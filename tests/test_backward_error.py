@@ -508,6 +508,45 @@ def test_reconstruct_infeasible_point_raises():
         reconstruct_perturbation(system, 0.7, "A", x)
 
 
+@pytest.mark.parametrize("shape, seed", [((2, 3, 1), 21), ((3, 2, 2), 22), ((1, 2, 0), 23)])
+def test_reconstruction_rows_are_minimal_maps(shape, seed):
+    # Each block row of S(lam) x is cancelled by the maps on its open blocks,
+    # whose joint Frobenius norm is the minimum ||rhs|| / ||v||, v the open
+    # coordinates; the frozen blocks stay exactly zero.  Checked in the frame
+    # the route solves in: the transposed system for transposed patterns.
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, *shape)
+    lam = complex(rng.standard_normal(), rng.standard_normal())
+    r, n, d = system.r, system.n, system.d
+    for pattern in all_patterns():
+        result = backward_error(system, lam, pattern, restarts=3)
+        assert math.isfinite(result.eta), pattern
+        delta = reconstruct_perturbation(system, lam, pattern, result.x)
+        route = ROUTES[pattern.letters]
+        frame, delta = (
+            (system.transpose(), delta.transpose()) if route.transposed else (system, delta)
+        )
+        x = linalg.normalize(result.x)
+        s_mat = frame.evaluate(lam)
+        trailing = np.concatenate([lam**j * x[r:] for j in range(d + 1)])
+        rows = (
+            (s_mat[:r] @ x, {"A": (delta.A, x[:r]), "B": (delta.B, x[r:])}),
+            (s_mat[r:] @ x, {"C": (delta.C, x[:r]), "P": (np.hstack(delta.poly_coeffs), trailing)}),
+        )
+        for rhs, blocks in rows:
+            opened = [k for k in blocks if k in route.inner]
+            for k in blocks:
+                if k not in opened:
+                    assert not blocks[k][0].any(), (pattern, k)
+            if not opened:
+                continue
+            got = sum(m @ part for m, part in blocks.values())
+            assert np.linalg.norm(got - rhs) <= 1e-12 * np.linalg.norm(rhs), pattern
+            v = np.concatenate([blocks[k][1] for k in opened])
+            joint = math.sqrt(sum(np.linalg.norm(blocks[k][0]) ** 2 for k in opened))
+            assert joint == pytest.approx(np.linalg.norm(rhs) / np.linalg.norm(v), rel=1e-12)
+
+
 def test_reconstruct_tolerance_reads_the_input_norm():
     # One heavy column: ||S||_1 = 200.3 > ||S||_inf = 102.3 at lam = 0.2.
     # Pattern C is pattern B on the transpose, whose frozen second block row

@@ -175,47 +175,6 @@ def test_psd_nullspace_rejects_indefinite():
         linalg.psd_nullspace(np.diag([-1.0, 1.0]))
 
 
-def test_min_frobenius_map_unit_direction():
-    d = linalg.min_frobenius_map([1.0, 0.0], [2.0])
-    assert np.allclose(d, [[2.0, 0.0]])
-    assert np.linalg.norm(d) == pytest.approx(2.0)
-
-
-def test_min_frobenius_map_zero_zero():
-    assert np.all(linalg.min_frobenius_map(np.zeros(2), np.zeros(3)) == 0)
-
-
-def test_min_frobenius_map_infeasible():
-    with pytest.raises(linalg.InfeasibleMapError):
-        linalg.min_frobenius_map(np.zeros(2), [1.0])
-
-
-@pytest.mark.parametrize("size", [2, 17, 200])
-def test_min_frobenius_map_contract(size):
-    rng = np.random.default_rng(size)
-    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    b = rng.standard_normal(size // 2 + 1) + 1j * rng.standard_normal(size // 2 + 1)
-    d = linalg.min_frobenius_map(x, b)
-    assert np.linalg.norm(d @ x - b) < 1e-12 * np.linalg.norm(b)
-    assert np.linalg.norm(d) == pytest.approx(
-        np.linalg.norm(b) / np.linalg.norm(x), rel=1e-12
-    )
-
-
-def test_min_frobenius_map_minimality():
-    # any other feasible map is D + E with E x = 0, and ||D + E||^2 splits
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    d = linalg.min_frobenius_map(x, b)
-    for _ in range(20):
-        e = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        e = e - np.outer(e @ x, x.conj()) / np.real(np.vdot(x, x))
-        alt = d + e
-        assert np.linalg.norm(alt @ x - b) < 1e-12
-        assert np.linalg.norm(alt) >= np.linalg.norm(d) - 1e-12
-
-
 def test_smallest_singular_value_closed_form():
     # singular values of [[1,1],[0,1]] solve s^4 - 3 s^2 + 1 = 0
     expected = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)
