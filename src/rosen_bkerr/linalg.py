@@ -118,16 +118,20 @@ def normalize(v) -> np.ndarray:
 
 
 def fix_phase(v) -> np.ndarray:
-    """Rotate ``v`` by a unit scalar so its largest-magnitude entry is real positive."""
+    """Rotate ``v`` by a unit scalar so its largest-magnitude entry is real
+    positive, that entry set exactly to its magnitude: a phase-fixed vector
+    is its own fix_phase."""
     v = np.asarray(v, dtype=np.complex128)
     if v.size == 0:
         return v.copy()
     j = int(np.argmax(np.abs(v)))
     a = v[j]
     mag = abs(a)
-    if mag == 0.0:
+    if mag == 0.0 or a == mag:
         return v.copy()
-    return v * (a.conjugate() / mag)
+    out = v * (a.conjugate() / mag)
+    out[j] = mag
+    return out
 
 
 def hermitian_part(m, name: str = "matrix") -> np.ndarray:

@@ -336,7 +336,8 @@ def nepv_residuals(problem: Srq2Problem, x) -> ResidualInfo:
 class Srq2Solution:
     """A candidate minimizer with its audit trail.
 
-    ``value`` is the objective at ``x`` (unit, phase fixed);
+    ``value`` is the objective at ``x``, a unit vector whose phase is fixed
+    once, in ``_solution``, as every search returns through it;
     ``rel_residual`` is the relative residual against the Rayleigh quotient
     from the H(x) its search ended on (for an SCF run, that of its final
     iterate; NaN where H(x) is undefined), and ``nepv_residuals`` gives the
@@ -358,11 +359,12 @@ class Srq2Solution:
 
 
 def _solution(problem, p: _Point, res: _Residual | None, *, iterations, shifts, source, converged):
-    """The Srq2Solution at p with the relative residual of its residual
-    data ``res``; None where p is not smooth gives NaN."""
+    """The Srq2Solution at p, phase fixed, with the relative residual of its
+    residual data ``res``; None where p is not smooth gives NaN."""
+    x = linalg.fix_phase(p.x)
     return Srq2Solution(
-        x=p.x,
-        value=objective(problem, p.x),
+        x=x,
+        value=objective(problem, x),
         rel_residual=math.nan if res is None else res.rel,
         iterations=iterations,
         shifts_used=tuple(shifts),
@@ -418,7 +420,7 @@ def _newton_step(problem, p: _Point, res: _Residual):
         [[E, C], [C^T, 0]] [v; lam] = [-(H(x) x - s x); 0],   C = [x, i x]
 
     in real form, which keeps v horizontal to the phase orbit of x, and the
-    new point is x + v normalized and phase fixed.  Returns the new point
+    new point is x + v normalized.  Returns the new point
     and its residual, or None unless it is differentiable, does not raise
     the objective beyond floating-point noise and strictly lowers the
     relative residual."""
@@ -438,7 +440,7 @@ def _newton_step(problem, p: _Point, res: _Residual):
         return None
     if not np.all(np.isfinite(v)):
         return None
-    cand = _point(problem, linalg.fix_phase(linalg.normalize(x + (v[:n] + 1j * v[n:m]))))
+    cand = _point(problem, linalg.normalize(x + (v[:n] + 1j * v[n:m])))
     noise = linalg.threshold(linalg.ZERO_TOL, abs(p.value))
     if not (cand.smooth and cand.value <= p.value + noise):
         return None
@@ -549,7 +551,7 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     by floating-point noise at most.  ``iterations`` counts sweeps and
     Newton steps; ``shifts_used`` holds the shifts of accepted sweeps only.
     """
-    p = _point(problem, linalg.fix_phase(linalg.normalize(linalg._direction(x0, problem.n, "x0"))))
+    p = _point(problem, linalg.normalize(linalg._direction(x0, problem.n, "x0")))
     if not p.smooth:
         return _solution(
             problem, p, None, iterations=0, shifts=(), source=SOURCE_SCF, converged=False
@@ -583,7 +585,7 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
             if t == 1:
                 z = vecs.conj().T @ p.x
             v = _downdated_bottom(w, vecs, z, sigma) if t else vecs[:, 0]
-            cand = _point(problem, linalg.fix_phase(v))
+            cand = _point(problem, v)
             if cand.value < p.value - _SHIFT_SLACK:
                 break
         else:  # no shift gave a descent
@@ -633,7 +635,7 @@ def nondiff_candidates(problem: Srq2Problem) -> list[Srq2Solution]:
                 f"restricted denominator pencil of the {source} candidates is not "
                 "definite although the denominators have no common null vector"
             ) from exc
-        p = _point(problem, linalg.fix_phase(linalg.normalize(basis @ v)))
+        p = _point(problem, linalg.normalize(basis @ v))
         res = _residual(problem, p) if p.smooth else None
         out.append(
             _solution(problem, p, res, iterations=0, shifts=(), source=source, converged=True)

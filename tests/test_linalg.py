@@ -27,9 +27,10 @@ def test_fix_phase_makes_leading_entry_real():
     v = np.array([0.3 - 0.1j, -0.8j, 0.2])
     out = linalg.fix_phase(v)
     j = int(np.argmax(np.abs(out)))
-    assert out[j].imag == pytest.approx(0.0, abs=1e-15)
+    assert out[j].imag == 0.0
     assert out[j].real > 0
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), rel=1e-14)
+    assert np.array_equal(linalg.fix_phase(out), out)
 
 
 def test_normalize_zero_raises():

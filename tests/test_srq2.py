@@ -1101,6 +1101,7 @@ def test_run_state_diagnostics_match_from_scratch(monkeypatch):
                 k += 1
                 nondiff = srq2.nondiff_candidates(problem) if problem.common_null_ok else []
                 for sol in runs + seeded + nondiff:
+                    assert np.array_equal(sol.x, linalg.fix_phase(sol.x))
                     assert sol.value == srq2.objective(problem, sol.x)
                     try:
                         info = srq2.nepv_residuals(problem, sol.x)
