@@ -217,6 +217,8 @@ def _quotient_sum(problem: Srq2Problem, q1, q2, nrm2, d1, d2) -> np.ndarray:
 
     def quotient(q, d, num_eps, den_eps):
         zero_den = d <= den_eps * nrm2
+        if not zero_den.any():
+            return q / d
         out = np.divide(q, d, out=np.zeros_like(q), where=~zero_den)
         out[zero_den & (q > num_eps * nrm2)] = np.inf
         return out
@@ -741,11 +743,11 @@ def _batch_forms(problem, X):
     q1, q2, q3 = _block_forms(X, y)
     nrm2 = np.real(np.einsum("ij,ij->j", X.conj(), X))
     d1, d2 = _denominators(problem, nrm2, q3)
-    return q1, q2, q3, nrm2, d1, d2, y
+    return q1, q2, q3, nrm2, d1, d2
 
 
 def _batch_objective(problem, X):
-    q1, q2, _, nrm2, d1, d2, _ = _batch_forms(problem, X)
+    q1, q2, _, nrm2, d1, d2 = _batch_forms(problem, X)
     return _quotient_sum(problem, q1, q2, nrm2, d1, d2)
 
 
@@ -754,85 +756,101 @@ def _batch_objective(problem, X):
 _LADDER = 0.5 ** np.arange(25)
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-18
+# The polish prices rows 0..2 of every ladder first: an accepted step doubles
+# t, so the first passing trial is mostly row 1 (the last step again), row 0
+# (the step grows) or row 2 (it shrinks once).  Over the oracle calls of the
+# benchmark's quotient_audit seed 101, rows 3..24 hold it in 2.2 % of the
+# column steps, and 4.2 % have none.
+_HEAD, _TAIL = slice(3), slice(3, None)
 
 
-def _ladder_objective(problem, X, G, t, q1, q2, nrm2, d1, d2, y):
-    """Objective at x - s g for every column and every trial step
-    s = t 2^-k, k = 0..24, with one matmul: along that line each quadratic
-    form is a quadratic polynomial in s,
+def _with_denominators(problem, forms):
+    """(q1, q2, ||x||^2, d1, d2), the arguments of ``_quotient_sum``, from the
+    rows (q1, q2, q3, ||x||^2) of ``forms``: the forms of A1, A2, A3 and I."""
+    q1, q2, q3, nrm2 = forms
+    return np.array((q1, q2, nrm2, *_denominators(problem, nrm2, q3)))
+
+
+def _ladder_objective(problem, coef, t, ladder=_LADDER):
+    """Objective at x - s g for every column and every trial step s = t 2^-k
+    in ``ladder`` (rows of _LADDER): along that line each quadratic form is a
+    quadratic polynomial in s,
 
         (x - s g)* M (x - s g) = x*Mx - 2 s Re(g*Mx) + s^2 g*Mg,
 
     and the quotient conventions are scale invariant, so the unnormalized
-    point prices the retraction (x - s g) / ||x - s g||.  ``q1, q2, nrm2,
-    d1, d2, y`` are the ``_batch_forms`` of X.  Returns the steps and the
-    values, both of shape (25, columns)."""
-    # Re(g* M x) and g* M g for M = A1, A2, the two denominator matrices and
-    # I, from those for M = A1, A2, A3, I
-    lin, quad = (
-        np.array((c[0], c[1], *_denominators(problem, c[3], c[2]), c[3]))[:, None]
-        for c in (
-            _block_forms(G, np.vstack((y, X))),
-            _block_forms(G, np.vstack((problem.stacked @ G, G))),
-        )
-    )
-    s = _LADDER[:, None] * t
-    forms = quad * s
-    forms -= 2.0 * lin
+    point prices the retraction (x - s g) / ||x - s g||.  ``coef[:, i]`` are
+    the ``_with_denominators`` rows of x*Mx, Re(g*Mx) and g*Mg for i = 0, 1,
+    2.  Each entry is elementwise arithmetic on its own row and column, so a
+    subset of the rows or columns prices exactly the bits of the full
+    ladder.  Returns the steps and the values, both of shape (rows, columns)."""
+    s = ladder[:, None] * t
+    forms = coef[:, 2, None] * s
+    forms -= 2.0 * coef[:, 1, None]
     forms *= s
-    forms += np.array((q1, q2, d1, d2, nrm2))[:, None]
-    q1s, q2s, d1s, d2s, nrm2s = forms
-    return s, _quotient_sum(problem, q1s, q2s, nrm2s, d1s, d2s)
+    forms += coef[:, 0, None]
+    return s, _quotient_sum(problem, *forms)
+
+
+def _first_passing(problem, coef, t, f, rows):
+    """Per column, the Armijo test over the trial steps ``rows`` of the
+    ladder: whether one passes, and the first that does with its value."""
+    steps, values = _ladder_objective(problem, coef, t, _LADDER[rows])
+    ok = (steps > _MIN_STEP) & (values <= f - _ARMIJO * steps * coef[2, 2])
+    first, cols = ok.argmax(axis=0), np.arange(ok.shape[1])
+    return ok.any(axis=0), steps[first, cols], values[first, cols]
 
 
 def _batch_polish(problem, X, f, steps):
     """Projected gradient descent on the sphere with Armijo backtracking,
-    vectorized over the sample columns.  Each step prices a column's whole
-    backtracking ladder at once (``_ladder_objective``) and takes its first
+    vectorized over the sample columns.  Each step prices rows 0..2 of every
+    column's backtracking ladder at once (``_ladder_objective``), rows 3..24
+    only for the columns none of those accept, and takes a column's first
     trial step with sufficient decrease; an accepted step doubles (capped at
     1e6) for the next iteration, and a column whose trials all fail keeps
-    the halved step, as a one-trial-at-a-time search would.  Columns where a
-    denominator vanishes or the step has fallen to 1e-18 are frozen.  The
-    returned values are the closed-form ones."""
+    the halved step, as a one-trial-at-a-time search would.  The forms at
+    the columns come from one product with the stack of A1, A2, A3 and I,
+    and those at their gradients from one more.  A column stops where a
+    denominator vanishes, its value is +inf, its step has fallen to 1e-18 or
+    its squared gradient norm to 1e-20; it can never change again, so it is
+    written back to X and f once and leaves the batch.  The returned values
+    are the closed-form ones."""
     n = problem.n
-    t = np.ones(X.shape[1])
+    s4 = np.vstack((problem.stacked, np.eye(n)))
+    x, fx, t, cols = X, f, np.ones(X.shape[1]), np.arange(X.shape[1])
     for _ in range(steps):
-        q1, q2, _, nrm2, d1, d2, y = _batch_forms(problem, X)
-        live = _smooth(problem, nrm2, d1, d2) & np.isfinite(f) & (t > _MIN_STEP)
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        yi = y[:, idx]
-        hx = _h_combination(
-            problem, q1[idx], q2[idx], d1[idx], d2[idx], yi[:n], yi[n : 2 * n], yi[2 * n :]
-        )
-        xi = X[:, idx]
-        s = np.real(np.einsum("ij,ij->j", xi.conj(), hx))
-        grad = hx - xi * s
-        gnorm2 = np.real(np.einsum("ij,ij->j", grad.conj(), grad))
-        moving = gnorm2 > 1e-20
-        idx = idx[moving]
-        if idx.size == 0:
-            break
-        xi, grad, gnorm2 = xi[:, moving], grad[:, moving], gnorm2[moving]
-        trial, fc = _ladder_objective(
-            problem, xi, grad, t[idx], q1[idx], q2[idx], nrm2[idx], d1[idx], d2[idx], yi[:, moving]
-        )
-        tried = trial > _MIN_STEP
-        ok = tried & (fc <= f[idx] - _ARMIJO * trial * gnorm2)
-        t[idx] *= 0.5 ** np.count_nonzero(tried, axis=0)
-        hit = np.flatnonzero(ok.any(axis=0))
-        if hit.size == 0:
-            continue
-        first = np.argmax(ok[:, hit], axis=0)
-        step = trial[first, hit]
-        cand = xi[:, hit] - grad[:, hit] * step
+        z = s4 @ x
+        forms = _block_forms(x, z)
+        q1, q2, q3, nrm2 = forms
+        d1, d2 = _denominators(problem, nrm2, q3)
+        live = _smooth(problem, nrm2, d1, d2) & np.isfinite(fx) & (t > _MIN_STEP)
+        # d = 1 stands in on the columns that stop, so no division is by zero
+        d1, d2 = np.where(live, d1, 1.0), np.where(live, d2, 1.0)
+        hx = _h_combination(problem, q1, q2, d1, d2, *z[: 3 * n].reshape(3, n, -1))
+        grad = hx - x * np.real(np.einsum("ij,ij->j", x.conj(), hx))
+        lin, quad = _block_forms(grad, np.concatenate((z, s4 @ grad))).reshape(2, 4, -1)
+        coef = _with_denominators(problem, np.array((forms, lin, quad)).swapaxes(0, 1))
+        keep = live & (quad[3] > 1e-20)
+        if not keep.all():
+            out = ~keep
+            X[:, cols[out]], f[cols[out]] = x[:, out], fx[out]
+            x, grad, coef = x[:, keep], grad[:, keep], coef[..., keep]
+            fx, t, cols = fx[keep], t[keep], cols[keep]
+            if cols.size == 0:
+                break
+        acc, step, fc = _first_passing(problem, coef, t, fx, _HEAD)
+        miss = np.flatnonzero(~acc)
+        if miss.size:
+            tail = _first_passing(problem, coef[..., miss], t[miss], fx[miss], _TAIL)
+            acc[miss], step[miss], fc[miss] = tail
+            t[miss] *= 0.5 ** np.count_nonzero(_LADDER[:, None] * t[miss] > _MIN_STEP, axis=0)
+        cand = x - grad * step
         norms = np.linalg.norm(cand, axis=0)
         norms[norms == 0.0] = 1.0
-        acc = idx[hit]
-        X[:, acc] = cand / norms
-        f[acc] = fc[first, hit]
-        t[acc] = np.minimum(step * 2.0, 1e6)
+        x = np.where(acc, cand / norms, x)
+        fx = np.where(acc, fc, fx)
+        t = np.where(acc, np.minimum(step * 2.0, 1e6), t)
+    X[:, cols], f[cols] = x, fx
     return X, f
 
 

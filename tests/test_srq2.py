@@ -420,7 +420,7 @@ def _rounding_slack(problem, X):
     beyond a relative 1e-12: each quotient q/d carries an error of about
     eps (||A_i|| + |q/d| (|alpha_i| + |beta_i| ||A3||)) / d, which is large
     only next to a vanishing denominator, for any way of evaluating it."""
-    q1, q2, _, _, d1, d2, _ = srq2._batch_forms(problem, X)
+    q1, q2, _, _, d1, d2 = srq2._batch_forms(problem, X)
     a3 = linalg.norm1(problem.a3)
     slack = np.zeros(X.shape[1])
     for a, q, d, alpha, beta in (
@@ -512,9 +512,18 @@ def test_ladder_matches_direct_evaluation(kind, problem):
     X /= np.linalg.norm(X, axis=0)
     G -= X * np.einsum("ij,ij->j", X.conj(), G)  # tangent, as the polish's gradients
     t = 10.0 ** rng.uniform(-3.0, 3.0, m)
-    q1, q2, _, nrm2, d1, d2, y = srq2._batch_forms(problem, X)
-    steps, values = srq2._ladder_objective(problem, X, G, t, q1, q2, nrm2, d1, d2, y)
+    s4 = np.vstack((problem.stacked, np.eye(n)))  # x*Mx, Re(g*Mx), g*Mg
+    forms = [srq2._block_forms(u, s4 @ v) for u, v in ((X, X), (G, X), (G, G))]
+    coef = srq2._with_denominators(problem, np.stack(forms, axis=1))
+    steps, values = srq2._ladder_objective(problem, coef, t)
     assert steps.shape == values.shape == (25, m)
+    # rows 0..2 for every column and rows 3..24 for a subset price the same bits
+    sub = np.arange(1, m, 3)
+    head = srq2._ladder_objective(problem, coef, t, srq2._LADDER[srq2._HEAD])
+    tail = srq2._ladder_objective(problem, coef[..., sub], t[sub], srq2._LADDER[srq2._TAIL])
+    for full, h, tl in zip((steps, values), head, tail):
+        assert h.tobytes() == full[:3].tobytes()
+        assert tl.tobytes() == full[3:, sub].tobytes()
     for k in range(25):
         np.testing.assert_array_equal(steps[k], t * 0.5**k)
         cand = X - G * steps[k]
@@ -533,8 +542,9 @@ def test_ladder_matches_direct_evaluation(kind, problem):
 
 
 def _reference_polish(problem, x, f, steps):
-    """One column of the polish, one backtracking trial at a time."""
-    t = 1.0
+    """One column of the polish, one backtracking trial at a time; also the
+    first passing trial of each ladder tried (None where none passes)."""
+    t, rows = 1.0, []
     for _ in range(steps):
         if not (srq2._point(problem, x).smooth and math.isfinite(f) and t > 1e-18):
             break
@@ -543,16 +553,17 @@ def _reference_polish(problem, x, f, steps):
         gnorm2 = float(np.real(np.vdot(grad, grad)))
         if gnorm2 <= 1e-20:
             break
-        for _trial in range(25):
+        rows.append(None)
+        for trial in range(25):
             cand = linalg.normalize(x - t * grad)
             fc = srq2.objective(problem, cand)
             if fc <= f - 1e-4 * t * gnorm2:
-                x, f, t = cand, fc, min(2.0 * t, 1e6)
+                x, f, t, rows[-1] = cand, fc, min(2.0 * t, 1e6), trial
                 break
             t *= 0.5
             if t <= 1e-18:
                 break
-    return x, f
+    return x, f, rows
 
 
 def test_polish_matches_one_trial_at_a_time_backtracking():
@@ -564,16 +575,32 @@ def test_polish_matches_one_trial_at_a_time_backtracking():
     problems.append(
         srq2.Srq2Problem(1e12 * base.a1, 1e12 * base.a2, base.a3, 1.0, 0.0, 1.0, base.beta2)
     )
+    # starts that leave the batch at once, beside ones that stay: with the BC
+    # scalars and A3 = diag(1/2, 1, 0), e1 is stationary (A1, A2 and A3 are
+    # diagonal), e2 lies on the 0/0 set (d2 = q2 = 0) and e3 at +inf
+    # (d1 = 0 < q1); the random columns collapse as above, and a later ladder
+    # first passes at row 3 or beyond
+    a1, a2 = np.diag([1e12, 2e12, 3e12]), np.diag([2e12, 0.0, 1e12])
+    scalars = srq2.PATTERN_SCALARS["BC"](1.0)
+    problems.append(srq2.Srq2Problem(a1, a2, np.diag([0.5, 1.0, 0.0]), *scalars))
     for k, problem in enumerate(problems):
         X = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         X /= np.linalg.norm(X, axis=0)
+        if k == 4:
+            X[:, :3] = np.eye(3)
         f = srq2._batch_objective(problem, X)
         Xp, fp = srq2._batch_polish(problem, X.copy(), f.copy(), 40)
         np.testing.assert_allclose(fp, srq2._batch_objective(problem, Xp), rtol=1e-12)
+        rows = []
         for j in range(X.shape[1]):
-            x_ref, f_ref = _reference_polish(problem, X[:, j], f[j], 40)
+            x_ref, f_ref, rows_ref = _reference_polish(problem, X[:, j], f[j], 40)
             assert fp[j] == pytest.approx(f_ref, rel=1e-10), (k, j)
             np.testing.assert_allclose(Xp[:, j], x_ref, atol=1e-7)
+            rows.append(rows_ref)
+    p = srq2._point(problem, X[:, 1])
+    assert p.q2 == p.d2 == 0.0 and f[1] == 2e12 and math.isinf(f[2])
+    assert rows[0] == rows[1] == rows[2] == []
+    assert all(r[0] is None and max(i for i in r if i is not None) >= 3 for r in rows[3:])
 
 
 def test_solve_tracks_oracle_on_random_instances():
