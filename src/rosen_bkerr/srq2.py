@@ -843,6 +843,7 @@ def _batch_polish(problem, X, f, steps):
         if miss.size:
             tail = _first_passing(problem, coef[..., miss], t[miss], fx[miss], _TAIL)
             acc[miss], step[miss], fc[miss] = tail
+            # t 2^-(trials tried) where the whole ladder fails
             t[miss] *= 0.5 ** np.count_nonzero(_LADDER[:, None] * t[miss] > _MIN_STEP, axis=0)
         cand = x - grad * step
         norms = np.linalg.norm(cand, axis=0)
