@@ -7,7 +7,12 @@ promote to complex128, reject non-finite input, and treat nominally
 Hermitian matrices defensively by symmetrizing.
 
 Each matrix verdict is made here once: ``require_psd`` decides "positive
-semidefinite", ``semidefinite_pencil_smallest`` "zero right-hand side".
+semidefinite", ``semidefinite_pencil_smallest`` "zero right-hand side",
+``eigenvalues_above`` "lambda_min(M) > t" and ``is_diagonal`` "M is
+diagonal".  A verdict of the form "lambda_min(M) > t" costs one Cholesky
+factorization, not an eigenvalue solve (Sylvester's law of inertia), and
+the spectrum of a diagonal matrix is read off its diagonal: an eigenvalue
+solve runs only where its output is used.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ __all__ = [
     "ZeroPencilError",
     "as_complex_matrix",
     "definite_pencil_smallest",
+    "eigenvalues_above",
     "fix_phase",
     "hermitian_part",
+    "is_diagonal",
     "norm1",
     "normalize",
     "psd_nullspace",
@@ -91,7 +98,7 @@ def norm1(m) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 1))
+    return float(np.abs(m).sum(axis=0).max())
 
 
 def threshold(tol: float, scale: float) -> float:
@@ -107,6 +114,26 @@ def require_psd(wmin: float, scale: float, name: str) -> None:
         raise IndefiniteMatrixError(
             f"{name} is not positive semidefinite (smallest eigenvalue {wmin:.3e})"
         )
+
+
+def eigenvalues_above(m: np.ndarray, t: float) -> bool:
+    """The package's one test of "lambda_min(M) > t" for a Hermitian M: by
+    Sylvester's law of inertia, exactly when M - tI is positive definite,
+    that is when its Cholesky factorization succeeds.  Only the lower
+    triangle of M is read."""
+    shifted = np.array(m, dtype=np.complex128)
+    shifted.reshape(-1)[:: len(shifted) + 1] -= t
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def is_diagonal(m: np.ndarray) -> bool:
+    """The package's one test of "M is diagonal": no nonzero entry off the
+    diagonal of the square M."""
+    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
 
 
 def normalize(v) -> np.ndarray:
@@ -146,44 +173,51 @@ def definite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of the Hermitian pencil (M, N) with N positive
     definite, plus a unit eigenvector.
 
-    Reduces via the Cholesky factor N = L L* to a standard Hermitian
-    problem on L^{-1} M L^{-*} (triangular solves by ``np.linalg.solve``).
-    The value is the quotient v*Mv / v*Nv that the returned v attains, not
-    the reduced eigenvalue, which drifts from it as N grows ill-conditioned.
-    Raises NotPositiveDefiniteError when the factorization fails, signalling
-    the caller to take a semidefinite or infeasible branch.
+    Reduces to a standard Hermitian problem on L^{-1} M L^{-*}: for a
+    diagonal N, L = N^{1/2} and the reduction is a scaling; otherwise L is
+    the Cholesky factor of N = L L* (triangular solves by
+    ``np.linalg.solve``).  The value is the quotient v*Mv / v*Nv that the
+    returned v attains, not the reduced eigenvalue, which drifts from it as
+    N grows ill-conditioned.  Raises NotPositiveDefiniteError when N is not
+    positive definite (a diagonal entry at or below 0, or a failed
+    factorization), signalling the caller to take a semidefinite or
+    infeasible branch.
     """
     M = hermitian_part(m, "pencil left-hand side")
     N = hermitian_part(n, "pencil right-hand side")
     if M.shape != N.shape:
         raise ValueError(f"pencil shapes differ: {M.shape} vs {N.shape}")
-    try:
-        L = np.linalg.cholesky(N)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "pencil right-hand side is not positive definite"
-        ) from exc
-    t = np.linalg.solve(L, M)
-    a = np.linalg.solve(L, t.conj().T).conj().T
+    not_definite = "pencil right-hand side is not positive definite"
+    diagonal = is_diagonal(N)
+    if diagonal:
+        d = N.diagonal().real
+        if not np.all(d > 0.0):
+            raise NotPositiveDefiniteError(not_definite)
+        r = 1.0 / np.sqrt(d)
+        a = M * r[:, None] * r
+    else:
+        try:
+            L = np.linalg.cholesky(N)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(not_definite) from exc
+        t = np.linalg.solve(L, M)
+        a = np.linalg.solve(L, t.conj().T).conj().T
     a = (a + a.conj().T) / 2.0
     try:
         w, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"pencil eigendecomposition failed: {exc}") from exc
-    v = np.linalg.solve(L.conj().T, vecs[:, 0])
+    v = vecs[:, 0] * r if diagonal else np.linalg.solve(L.conj().T, vecs[:, 0])
     v = fix_phase(v / np.linalg.norm(v))
     return float(np.real(np.vdot(v, M @ v)) / np.real(np.vdot(v, N @ v))), v
 
 
-def _psd_split(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the Hermitian positive-semidefinite M (as columns)
-    and the mask of its numerically zero eigenvalues: those at or below
-    threshold(_NULL_TOL, ||M||_1).  ``require_psd`` judges its smallest
-    eigenvalue."""
-    w, V = np.linalg.eigh(M)
-    scale = norm1(M)
-    require_psd(float(w[0]) if w.size else 0.0, scale, name)
-    return V, w <= threshold(_NULL_TOL, scale)
+def _null_mask(w: np.ndarray, scale: float, name: str) -> np.ndarray:
+    """The mask of the numerically zero eigenvalues ``w`` of a Hermitian
+    positive-semidefinite matrix of 1-norm ``scale``: those at or below
+    threshold(_NULL_TOL, scale).  ``require_psd`` judges the smallest."""
+    require_psd(float(w.min()) if w.size else 0.0, scale, name)
+    return w <= threshold(_NULL_TOL, scale)
 
 
 def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
@@ -198,21 +232,34 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     satisfies M y = value * N y, and value is the Rayleigh quotient
     y*My / y*Ny of that y.  A right-hand side with no eigenvalue above the
     null-space threshold, the empty one included, raises ZeroPencilError.
+
+    N's spectrum is its diagonal where N is diagonal, and the Schur step
+    then splits the coordinates by index; a dense N that passes
+    ``eigenvalues_above`` at the null-space threshold is definite and
+    takes no eigenvalue solve.
     """
     M = hermitian_part(m, "pencil left-hand side")
     N = hermitian_part(n, "pencil right-hand side")
     if M.shape != N.shape:
         raise ValueError(f"pencil shapes differ: {M.shape} vs {N.shape}")
-    W, null = _psd_split(N, "pencil right-hand side")
+    scale = norm1(N)
+    if is_diagonal(N):
+        w, W = N.diagonal().real, None
+    elif eigenvalues_above(N, threshold(_NULL_TOL, scale)):
+        return definite_pencil_smallest(M, N)
+    else:
+        w, W = np.linalg.eigh(N)
+    null = _null_mask(w, scale, "pencil right-hand side")
     if null.all():
         raise ZeroPencilError("pencil right-hand side is numerically zero")
     if not null.any():
         return definite_pencil_smallest(M, N)
-    P = W[:, ~null]
-    Z = W[:, null]
-    mpp = P.conj().T @ M @ P
-    mpz = P.conj().T @ M @ Z
-    mzz = Z.conj().T @ M @ Z
+    # in N's eigenbasis, where N is diag(w)
+    mw = M if W is None else W.conj().T @ M @ W
+    pos = ~null
+    mpp = mw[np.ix_(pos, pos)]
+    mpz = mw[np.ix_(pos, null)]
+    mzz = mw[np.ix_(null, null)]
     mzz = (mzz + mzz.conj().T) / 2.0
     try:
         Lz = np.linalg.cholesky(mzz)
@@ -223,10 +270,13 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     # Schur complement of the null-space block of M.
     Y = np.linalg.solve(Lz, mpz.conj().T)
     schur = mpp - Y.conj().T @ Y
-    npp = P.conj().T @ N @ P
-    _, u = definite_pencil_smallest(schur, npp)
-    yz = -np.linalg.solve(Lz.conj().T, Y @ u)
-    y = fix_phase(normalize(P @ u + Z @ yz))
+    _, u = definite_pencil_smallest(schur, np.diag(w[pos]))
+    y = np.empty(len(w), dtype=np.complex128)
+    y[pos] = u
+    y[null] = -np.linalg.solve(Lz.conj().T, Y @ u)
+    if W is not None:
+        y = W @ y
+    y = fix_phase(normalize(y))
     return float(np.real(np.vdot(y, M @ y)) / np.real(np.vdot(y, N @ y))), y
 
 
@@ -235,10 +285,16 @@ def psd_nullspace(m) -> np.ndarray:
     null space of a positive-semidefinite matrix.
 
     Eigenvalues at or below threshold(_NULL_TOL, ||M||_1) count as zero;
-    ``require_psd`` judges the smallest.
+    ``require_psd`` judges the smallest.  An M that passes
+    ``eigenvalues_above`` at that threshold has none, and is positive
+    semidefinite: its empty basis takes no eigenvalue solve.
     """
-    V, null = _psd_split(hermitian_part(m), "matrix")
-    return V[:, null].copy()
+    M = hermitian_part(m)
+    scale = norm1(M)
+    if eigenvalues_above(M, threshold(_NULL_TOL, scale)):
+        return np.zeros((len(M), 0), dtype=np.complex128)
+    w, V = np.linalg.eigh(M)
+    return V[:, _null_mask(w, scale, "matrix")].copy()
 
 
 def smallest_singular_value(m) -> float:

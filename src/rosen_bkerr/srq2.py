@@ -96,9 +96,13 @@ class Srq2Problem:
     that batch code multiplies by; b_i = alpha_i I + beta_i A3 are formed
     on each read.  Construction takes each matrix's 1-norm once, for
     ``linalg.require_psd``'s verdict on a1, a2, a3, b1 and b2 and for the
-    zero thresholds ``num_eps*``/``den_eps*`` of the quotient rule; one
-    eigvalsh of A3 gives the spectra of b1, b2 and their sum, whose
-    definiteness ``common_null_ok`` records (no common null vector)."""
+    zero thresholds ``num_eps*``/``den_eps*`` of the quotient rule.  a1 and
+    a2 pass by one Cholesky each (``linalg.eigenvalues_above`` at
+    -ZERO_TOL ||M||_1); an eigvalsh runs only where that fails, to give
+    the verdict its smallest eigenvalue.  A3's spectrum, its diagonal where
+    A3 is diagonal (always, inside the library) and one eigvalsh otherwise,
+    gives the spectra of b1, b2 and their sum, whose definiteness
+    ``common_null_ok`` records (no common null vector)."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -133,18 +137,23 @@ class Srq2Problem:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
         # alpha I + beta A3 has the eigenvalues alpha + beta w3
-        w3 = np.linalg.eigvalsh(self.a3)
+        a3 = self.a3
+        w3 = np.sort(a3.diagonal().real) if linalg.is_diagonal(a3) else np.linalg.eigvalsh(a3)
         b1, b2 = self.b1, self.b2
         checks = (
-            ("a1", self.a1, float(np.linalg.eigvalsh(self.a1)[0]), "num_eps1"),
-            ("a2", self.a2, float(np.linalg.eigvalsh(self.a2)[0]), "num_eps2"),
-            ("a3", self.a3, float(w3[0]), None),
+            ("a1", self.a1, None, "num_eps1"),
+            ("a2", self.a2, None, "num_eps2"),
+            ("a3", a3, float(w3[0]), None),
             ("denominator matrix 1", b1, float((self.alpha1 + self.beta1 * w3).min()), "den_eps1"),
             ("denominator matrix 2", b2, float((self.alpha2 + self.beta2 * w3).min()), "den_eps2"),
         )
         for name, m, wmin, eps in checks:
             scale = linalg.norm1(m)
-            linalg.require_psd(wmin, scale, name)
+            # a1 and a2 pass by the inertia test; eigvalsh names the eigenvalue of a failure
+            if wmin is None and not linalg.eigenvalues_above(m, -linalg.ZERO_TOL * scale):
+                wmin = float(np.linalg.eigvalsh(m)[0])
+            if wmin is not None:
+                linalg.require_psd(wmin, scale, name)
             if eps is not None:
                 object.__setattr__(self, eps, linalg.threshold(linalg.ZERO_TOL, scale))
         alpha, beta = self.alpha1 + self.alpha2, self.beta1 + self.beta2
@@ -283,13 +292,21 @@ class _Residual(NamedTuple):
         return 1e-9 * (self.norm1 + 1.0)
 
     def at_bottom(self) -> bool:
-        """Whether the gap is within ``aufbau_bound``, by one Cholesky: by
-        Sylvester's law of inertia, exactly when H(x) - (s - bound) I > 0."""
-        try:
-            np.linalg.cholesky(self.h - (self.s - self.aufbau_bound) * np.eye(len(self.h)))
-        except np.linalg.LinAlgError:
+        """Whether the gap is within ``aufbau_bound``: lambda_min(H(x)) above
+        s - bound, by ``linalg.eigenvalues_above``."""
+        return linalg.eigenvalues_above(self.h, self.s - self.aufbau_bound)
+
+    def near_bottom(self) -> bool:
+        """Whether r0 = || H(x) x - lambda_min(H(x)) x || is below
+        _NEWTON_SWITCH (||H(x)||_1 + 1), with no eigenvalue solve: H(x) x - s x
+        is orthogonal to the unit x, so r0^2 = ||H(x) x - s x||^2 + (s -
+        lambda_min)^2, and the bound holds exactly when the relative residual
+        is below _NEWTON_SWITCH and lambda_min lies above s - sqrt(b^2 -
+        ||H(x) x - s x||^2), b the bound (``linalg.eigenvalues_above``)."""
+        slack = _NEWTON_SWITCH**2 - self.rel**2
+        if slack <= 0.0:
             return False
-        return True
+        return linalg.eigenvalues_above(self.h, self.s - (self.norm1 + 1.0) * math.sqrt(slack))
 
 
 def _residual(problem: Srq2Problem, p: _Point) -> _Residual:
@@ -394,8 +411,11 @@ def _newton_matrix(problem, p: _Point, h: np.ndarray) -> np.ndarray:
     to x."""
     n = problem.n
     x, y = p.x, p.y
-    g = h - (problem.alpha1 * p.q1 / p.d1**2 + problem.alpha2 * p.q2 / p.d2**2) * np.eye(n)
-    e = np.block([[g.real, -g.imag], [g.imag, g.real]])
+    e = np.empty((2 * n, 2 * n))
+    e[:n, :n] = e[n:, n:] = h.real
+    e[n:, :n] = h.imag
+    e[:n, n:] = -h.imag
+    e.reshape(-1)[:: 2 * n + 1] -= problem.alpha1 * p.q1 / p.d1**2 + problem.alpha2 * p.q2 / p.d2**2
     ax3 = y[2 * n :]
     u = _real(
         np.column_stack(
@@ -527,16 +547,20 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
     Once x sits at the bottom of H(x)'s spectrum, the iteration switches to
     Newton's method on the sphere (``_newton_step``), which converges
     quadratically near a nondegenerate minimizer.  The one test reads the
-    sweep's eigenvalues w0 <= w1 <= ...: the residual r0 = || H(x) x - w0 x ||
+    eigenvalues w0 <= w1 <= ... of H(x): the residual r0 = || H(x) x - w0 x ||
     is at most 1e-3 (||H(x)||_1 + 1), or at most 0.1 (w1 - w0), which bounds
     the angle to the bottom eigenvector by sin <= 0.1 (Davis & Kahan 1970;
     the gap is +inf at n = 1).  The gap term hands over runs whose sweeps
     creep towards a minimizer with r0 just above the first bound.  The
     residual against the Rayleigh quotient would not do as the switch test:
     it is small next to stationary points paired with a higher eigenvalue,
-    which Newton's method would then find.  Newton steps diagonalize
+    which Newton's method would then find.  The first bound takes one
+    Cholesky and no eigenvalue solve (``_Residual.near_bottom``); only where
+    it fails is H(x) diagonalized, and the gap term is read from that
+    decomposition, which the sweep then uses.  Newton steps diagonalize
     nothing; the first rejected step returns to the level-shifted sweeps
-    from the same iterate.
+    from the same iterate.  So ``eigh`` runs once per sweep, plus once per
+    handover by the gap term alone.
 
     Convergence is declared at an aufbau point: the relative residual
     || H(x) x - s x || / (||H(x)||_1 + 1), s = x* H(x) x, is at most 1e-10
@@ -566,19 +590,21 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
         converged = stationary and res.at_bottom()
         if converged or k == _MAX_SWEEPS:
             break
-        if not newton:
-            w, vecs = np.linalg.eigh(res.h)
-            r0 = float(np.linalg.norm(res.hx - w[0] * p.x))
-            gap = float(w[1] - w[0]) if w.size > 1 else math.inf
-        switch = newton or r0 <= max(_NEWTON_SWITCH * (res.norm1 + 1.0), _GAP_SWITCH * gap)
-        step = _newton_step(problem, p, res) if switch and not stationary else None
-        if step is not None:
-            newton = True
-            p, res = step
-            continue
-        if newton:
-            newton = False
-            w, vecs = np.linalg.eigh(res.h)
+        eig = None  # the sweep's eigendecomposition of H(x), once taken
+        if not stationary:
+            switch = newton or res.near_bottom()
+            if not switch:
+                eig = w, vecs = np.linalg.eigh(res.h)
+                r0 = float(np.linalg.norm(res.hx - w[0] * p.x))
+                gap = float(w[1] - w[0]) if w.size > 1 else math.inf
+                switch = r0 <= max(_NEWTON_SWITCH * (res.norm1 + 1.0), _GAP_SWITCH * gap)
+            step = _newton_step(problem, p, res) if switch else None
+            if step is not None:
+                newton = True
+                p, res = step
+                continue
+        newton = False
+        w, vecs = eig if eig is not None else np.linalg.eigh(res.h)
         delta = float(w[1] - w[0]) if w.size > 1 else 0.0
         if delta <= 1e-14:
             delta = linalg.threshold(1e-8, res.norm1)

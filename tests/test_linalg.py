@@ -176,6 +176,115 @@ def test_psd_nullspace_rejects_indefinite():
         linalg.psd_nullspace(np.diag([-1.0, 1.0]))
 
 
+def test_psd_nullspace_of_a_definite_matrix_takes_no_eigh(monkeypatch):
+    # a definite M passes the inertia test at the null threshold: its empty
+    # basis needs no eigendecomposition; an indefinite one still raises
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    basis = linalg.psd_nullspace(g @ g.conj().T + np.eye(5))
+    assert basis.shape == (5, 0) and basis.dtype == np.complex128
+    assert calls == []
+    with pytest.raises(linalg.IndefiniteMatrixError):
+        linalg.psd_nullspace(g @ g.conj().T - 100.0 * np.eye(5))
+    assert calls == [1]
+
+
+def _random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+def _random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def test_eigenvalues_above_agrees_with_the_spectrum():
+    # t below, between and above the eigenvalues, each away from all of them
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 12, 40):
+        for _ in range(5):
+            m = _random_hermitian(rng, n)
+            w = np.linalg.eigvalsh(m)
+            cuts = np.concatenate(([w[0] - 1.0], (w[:-1] + w[1:]) / 2.0, [w[-1] + 1.0]))
+            for t in cuts:
+                if np.min(np.abs(w - t)) < 1e-6 * linalg.norm1(m):
+                    continue
+                assert linalg.eigenvalues_above(m, t) == (w[0] > t), (n, t, w[0])
+
+
+def test_eigenvalues_above_leaves_its_input_alone():
+    m = np.diag([1.0, 2.0]).astype(np.complex128)
+    assert linalg.eigenvalues_above(m, 0.5) and not linalg.eigenvalues_above(m, 1.5)
+    assert np.array_equal(m, np.diag([1.0, 2.0]))
+    assert linalg.eigenvalues_above(np.zeros((0, 0)), 1.0)
+
+
+def test_is_diagonal():
+    assert linalg.is_diagonal(np.diag([1.0, 0.0, 2.0j]))
+    assert linalg.is_diagonal(np.zeros((0, 0)))
+    assert not linalg.is_diagonal(np.array([[1.0, 0.0], [1e-300j, 1.0]]))
+
+
+@pytest.mark.parametrize("n, zeros", [(1, 0), (4, 0), (4, 1), (4, 3), (9, 0), (9, 1), (9, 3)])
+def test_diagonal_rhs_agrees_with_the_dense_path(n, zeros):
+    # a diagonal N (with ``zeros`` zero weights) against the same pencil
+    # under a unitary similarity, which takes the dense path
+    rng = np.random.default_rng(10 * n + zeros)
+    for _ in range(5):
+        d = rng.uniform(0.1, 3.0, n)
+        d[rng.permutation(n)[:zeros]] = 0.0
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = g @ g.conj().T + _random_hermitian(rng, n) / 4.0
+        if zeros:  # M definite on null(N)
+            m += 10.0 * np.diag(d == 0.0)
+        q = _random_unitary(rng, n)
+        kernels = [linalg.semidefinite_pencil_smallest]
+        if not zeros:
+            kernels.append(linalg.definite_pencil_smallest)
+        for kernel in kernels:
+            value, y = kernel(m, np.diag(d))
+            dense_value, dense_y = kernel(q @ m @ q.conj().T, (q * d) @ q.conj().T)
+            assert dense_value == pytest.approx(value, rel=1e-11, abs=1e-12)
+            # the same unit vector up to phase
+            assert abs(np.vdot(q @ y, dense_y)) == pytest.approx(1.0, abs=1e-9)
+            resid = m @ y - value * (d * y)
+            assert np.linalg.norm(resid) < 1e-10 * (linalg.norm1(m) + abs(value) * d.max())
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_pencil_errors_on_diagonal_and_dense_rhs(rotate):
+    # every error branch raises the same error whether N is diagonal or not
+    q = _random_unitary(np.random.default_rng(6), 3) if rotate else np.eye(3)
+
+    def dense(m):
+        return q @ np.asarray(m, dtype=np.complex128) @ q.conj().T
+
+    eye = np.eye(3)
+    with pytest.raises(linalg.ZeroPencilError):
+        linalg.semidefinite_pencil_smallest(eye, dense(np.diag([1e-11, 0.0, 5e-11])))
+    with pytest.raises(linalg.ZeroPencilError):
+        linalg.semidefinite_pencil_smallest(np.zeros((0, 0)), np.zeros((0, 0)))
+    # M is not definite on null(N) = span(e3) (a 0 there would be rounding
+    # noise once rotated)
+    m, n = np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 2.0, 0.0])
+    with pytest.raises(linalg.NotPositiveDefiniteError, match="singular on the null space"):
+        linalg.semidefinite_pencil_smallest(dense(m), dense(n))
+    negative = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(linalg.IndefiniteMatrixError, match="smallest eigenvalue -1.000e"):
+        linalg.semidefinite_pencil_smallest(eye, dense(negative))
+    with pytest.raises(linalg.NotPositiveDefiniteError, match="not positive definite"):
+        linalg.definite_pencil_smallest(eye, dense(negative))
+
+
 def test_smallest_singular_value_closed_form():
     # singular values of [[1,1],[0,1]] solve s^4 - 3 s^2 + 1 = 0
     expected = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)

@@ -128,6 +128,8 @@ def test_problem_validation():
         (np.diag([0.0, 2.0]), (1.0, 1.0), (-1.0, 0.0)),
         (np.diag([0.0, 2.0]), (1.0, 1.0), (0.0, -0.75)),
         (np.diag([1.0, 3.0]), (-2.0, 1.0), (1.0, 0.0)),
+        # a dense A3, eigenvalues 0.5 and 1.5
+        (np.array([[1.0, 0.5j], [-0.5j, 1.0]]), (1.0, 1.0), (-1.0, 0.0)),
     ],
 )
 def test_indefinite_denominator_message(a3, alphas, betas):
@@ -175,11 +177,38 @@ def test_one_psd_guard(wmin, norm, psd):
     for call in calls:
         try:
             call()
-        except linalg.IndefiniteMatrixError:
+        except linalg.IndefiniteMatrixError as exc:
+            # the verdict names the smallest eigenvalue, also where a Cholesky decided it
+            assert str(exc).endswith(f"(smallest eigenvalue {wmin:.3e})")
             verdicts.append(False)
         else:
             verdicts.append(True)
     assert verdicts == [psd] * len(calls)
+
+
+def test_problem_validation_takes_no_eigenvalue_solve(monkeypatch):
+    # positive-semidefinite numerators pass by Cholesky, and a diagonal A3
+    # gives its spectrum (and so those of b1 and b2) from its diagonal
+    calls = []
+    for attr in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, attr, lambda *args, **kwargs: calls.append(1))
+    for template in srq2.PATTERN_TEMPLATES:
+        srq2.random_problem(6, np.random.default_rng(1), template)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["a1", "a2"])
+def test_indefinite_numerator_message(name):
+    # a dense indefinite numerator fails its Cholesky test; the message still
+    # prints its smallest eigenvalue
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))
+    m = q @ np.diag([-0.5, 2.0]) @ q.conj().T
+    assert not linalg.is_diagonal(m)
+    eye = np.eye(2)
+    given = {"a1": eye, "a2": eye, name: m}
+    with pytest.raises(linalg.IndefiniteMatrixError) as info:
+        srq2.Srq2Problem(given["a1"], given["a2"], eye, 1.0, 0.0, 1.0, 0.0)
+    assert str(info.value) == f"{name} is not positive semidefinite (smallest eigenvalue -5.000e-01)"
 
 
 @pytest.mark.parametrize(
@@ -754,13 +783,8 @@ def test_downdated_bottom_matches_eigh(n):
     assert checked == 17 * (1 if n == 1 else 3 if n == 2 else 4)
 
 
-def test_shifted_proposals_reuse_the_sweep_eigendecomposition(monkeypatch):
-    # an n = 30 AP instance whose sweeps all need a level shift: the shifted
-    # proposals come from the sweep's own eigh, so a run makes one eigh per
-    # iteration at most (none on Newton steps), however many shifts it tries
-    rng = np.random.default_rng(0)
-    problem = srq2.random_problem(30, rng, "AP")
-    x0 = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+def _count_eigh(monkeypatch):
+    """The list that gains one entry per np.linalg.eigh call from now on."""
     eigh = np.linalg.eigh
     calls = []
 
@@ -769,10 +793,37 @@ def test_shifted_proposals_reuse_the_sweep_eigendecomposition(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_shifted_proposals_reuse_the_sweep_eigendecomposition(monkeypatch):
+    # an n = 30 AP instance whose sweeps all need a level shift: the shifted
+    # proposals come from the sweep's own eigh, however many shifts it
+    # tries, and the Newton switch takes a Cholesky, so a converged run makes
+    # one eigh per accepted sweep and none on Newton steps
+    rng = np.random.default_rng(0)
+    problem = srq2.random_problem(30, rng, "AP")
+    x0 = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    calls = _count_eigh(monkeypatch)
     sol = srq2.scf_solve(problem, x0)
     assert sol.converged
     assert sum(1 for sigma in sol.shifts_used if sigma > 0.0) >= 10
-    assert len(sol.shifts_used) <= len(calls) <= sol.iterations, (len(calls), sol.iterations)
+    assert len(calls) == len(sol.shifts_used) < sol.iterations, (len(calls), sol.iterations)
+
+
+@pytest.mark.parametrize("pattern", ["AP", "BC", "ABCP"])
+def test_converged_runs_make_one_eigh_per_sweep(monkeypatch, pattern):
+    # the single-quotient starts of a (20, 30, 2) system: each run hands over
+    # to Newton steps, and the handover decomposes nothing
+    system = random_system(np.random.default_rng(0), 20, 30, 2)
+    problem = srq2_problem_for(system, 0.3 + 0.4j, pattern)
+    starts = srq2._single_quotient_starts(problem)
+    assert starts
+    for x0 in starts:
+        calls = _count_eigh(monkeypatch)
+        sol = srq2.scf_solve(problem, x0)
+        assert sol.converged
+        assert len(calls) == len(sol.shifts_used) < sol.iterations, (len(calls), sol.iterations)
 
 
 # The ABP quotient problem of a small backward-error case (r = n = 1, d = 0).
