@@ -234,9 +234,7 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     null-space threshold, the empty one included, raises ZeroPencilError.
 
     N's spectrum is its diagonal where N is diagonal, and the Schur step
-    then splits the coordinates by index; a dense N that passes
-    ``eigenvalues_above`` at the null-space threshold is definite and
-    takes no eigenvalue solve.
+    then splits the coordinates by index.
     """
     M = hermitian_part(m, "pencil left-hand side")
     N = hermitian_part(n, "pencil right-hand side")
@@ -245,8 +243,6 @@ def semidefinite_pencil_smallest(m, n) -> tuple[float, np.ndarray]:
     scale = norm1(N)
     if is_diagonal(N):
         w, W = N.diagonal().real, None
-    elif eigenvalues_above(N, threshold(_NULL_TOL, scale)):
-        return definite_pencil_smallest(M, N)
     else:
         w, W = np.linalg.eigh(N)
     null = _null_mask(w, scale, "pencil right-hand side")

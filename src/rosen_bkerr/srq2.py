@@ -597,7 +597,7 @@ def scf_solve(problem: Srq2Problem, x0) -> Srq2Solution:
                 eig = w, vecs = np.linalg.eigh(res.h)
                 r0 = float(np.linalg.norm(res.hx - w[0] * p.x))
                 gap = float(w[1] - w[0]) if w.size > 1 else math.inf
-                switch = r0 <= max(_NEWTON_SWITCH * (res.norm1 + 1.0), _GAP_SWITCH * gap)
+                switch = r0 <= _GAP_SWITCH * gap
             step = _newton_step(problem, p, res) if switch else None
             if step is not None:
                 newton = True
