@@ -14,16 +14,17 @@ norm making lambda an exact eigenvalue.  Every pattern is computable:
 ``ROUTES`` is the one pattern-to-route map.  ``_shift`` alone evaluates a
 shift: its view holds the route, the error matrices of the system the route
 solves on, and the input's S(lambda) with its 1-norm, the one scale of the
-zero gate, reconstruction and the certificate.  ``backward_error`` follows
-the route and attaches a certificate that rebuilds the perturbation.
+zero gate, reconstruction and the certificate.  ``backward_error`` builds one
+view per call, follows the route and hands the view to ``certify``, which
+rebuilds the perturbation from it and the result's (eta, x) alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -231,9 +232,17 @@ class BackwardErrorResult:
         return None if self.certificate is None else self.certificate.perturbation
 
 
-class _Shift(NamedTuple):
-    """One shift's view of a pattern: ``em`` belongs to the system the route
-    solves on, ``s`` is S(lam) of the input system and ``scale`` its 1-norm."""
+def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    out = basis.conj().T @ m @ basis
+    return (out + out.conj().T) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class _Shift:
+    """One call's view of (lam, pattern): ``em`` belongs to the system the
+    route solves on, ``s`` is S(lam) of the input system and ``scale`` its
+    1-norm.  The solve, the certificate and the reconstruction share it, and
+    what they derive from it is computed once, on first read."""
 
     pattern: PerturbationPattern
     lam: complex
@@ -241,6 +250,38 @@ class _Shift(NamedTuple):
     em: ErrorMatrices
     s: np.ndarray
     scale: float
+
+    @cached_property
+    def smin(self) -> float:
+        """sigma_min(S(lam)), the zero gate's value."""
+        return linalg.smallest_singular_value(self.s)
+
+    @cached_property
+    def problem(self) -> srq2.Srq2Problem:
+        """The quotient data of an SRQ2 route."""
+        em, route = self.em, self.route
+        a2 = em.g2 / em.gamma if route.over_gamma else em.g2
+        return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
+
+    @cached_property
+    def pencil(self) -> tuple:
+        """Of a pencil route: the basis of the null space of the Gram matrix
+        of the block row the pattern freezes and the pencil (M, N) restricted
+        to it, all three read-only, the name of N, and the factor that turns
+        the pencil's eigenvalue into eta^2."""
+        em, route = self.em, self.route
+        if "A" in route.inner or "B" in route.inner:  # C and P are frozen
+            basis, numerator, v = linalg.psd_nullspace(em.g2), em.g1, "V"
+        else:  # A and B are frozen
+            basis, numerator, v = linalg.psd_nullspace(em.g1), em.g2, "U"
+        rhs = {"H1": "h1", "H2": "h2", "Hlam": "h_lambda"}.get(route.rhs)
+        if rhs is None:
+            nmat = np.eye(basis.shape[1], dtype=np.complex128)
+        else:
+            nmat = _restrict(getattr(em, rhs), basis)
+        scale = 1.0 / em.gamma if route.over_gamma else 1.0
+        m = _restrict(numerator, basis)
+        return _frozen(basis), _frozen(m), _frozen(nmat), f"{v}*{route.rhs}{v}", scale
 
 
 def _shift(system: RosenbrockSystem, lam, pattern) -> _Shift:
@@ -255,12 +296,6 @@ def _shift(system: RosenbrockSystem, lam, pattern) -> _Shift:
     return _Shift(pattern, complex(lam), route, em, s, linalg.norm1(s))
 
 
-def _srq2_problem(view: _Shift) -> srq2.Srq2Problem:
-    em, route = view.em, view.route
-    a2 = em.g2 / em.gamma if route.over_gamma else em.g2
-    return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
-
-
 def srq2_problem_for(system: RosenbrockSystem, lam, pattern) -> srq2.Srq2Problem:
     """Quotient data of a pattern that reduces to the two-quotient
     minimization, assembled on the system its route solves on: the
@@ -269,35 +304,12 @@ def srq2_problem_for(system: RosenbrockSystem, lam, pattern) -> srq2.Srq2Problem
     view = _shift(system, lam, pattern)
     if view.route.kind != METHOD_SRQ2:
         raise ValueError(f"pattern {view.pattern} does not reduce to a two-quotient minimization")
-    return _srq2_problem(view)
-
-
-def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    out = basis.conj().T @ m @ basis
-    return (out + out.conj().T) / 2.0
-
-
-def _pencil_data(view: _Shift):
-    """Basis of the null space of the Gram matrix of the block row the
-    pattern freezes, the pencil (M, N) restricted to it, the name of N, and
-    the factor that turns the pencil's eigenvalue into eta^2."""
-    em, route = view.em, view.route
-    if "A" in route.inner or "B" in route.inner:  # C and P are frozen
-        basis, numerator, v = linalg.psd_nullspace(em.g2), em.g1, "V"
-    else:  # A and B are frozen
-        basis, numerator, v = linalg.psd_nullspace(em.g1), em.g2, "U"
-    rhs = {"H1": "h1", "H2": "h2", "Hlam": "h_lambda"}.get(route.rhs)
-    if rhs is None:
-        nmat = np.eye(basis.shape[1], dtype=np.complex128)
-    else:
-        nmat = _restrict(getattr(em, rhs), basis)
-    scale = 1.0 / em.gamma if route.over_gamma else 1.0
-    return basis, _restrict(numerator, basis), nmat, f"{v}*{route.rhs}{v}", scale
+    return view.problem
 
 
 def _solve_pencil(view: _Shift):
     """(squared value, minimizer, infeasibility witness) of a pencil route."""
-    basis, m, nmat, rhs_name, scale = _pencil_data(view)
+    basis, m, nmat, rhs_name, scale = view.pencil
     try:
         value, y = linalg.semidefinite_pencil_smallest(m, nmat)
     except linalg.ZeroPencilError:
@@ -309,7 +321,7 @@ def backward_error(
     system: RosenbrockSystem, lam, pattern, *, restarts: int = 5, seed: int = 0
 ) -> BackwardErrorResult:
     """Backward error of the shift ``lam`` under the given pattern, with a
-    from-scratch certificate and the minimal perturbation it reconstructs.
+    certificate and the minimal perturbation it rebuilds from (eta, x).
 
     Returns eta = 0 immediately when lam is already a numerical eigenvalue
     (the zero perturbation works for every pattern), eta = +inf with a
@@ -321,7 +333,7 @@ def backward_error(
     view = _shift(system, lam, pattern)
     route = view.route
     solver = witness = None
-    if linalg.smallest_singular_value(view.s) <= linalg.threshold(linalg.ZERO_TOL, view.scale):
+    if view.smin <= linalg.threshold(linalg.ZERO_TOL, view.scale):
         method = METHOD_ZERO_EIGENVALUE
         value, x = 0.0, linalg.fix_phase(np.linalg.svd(view.s)[2][-1].conj())
     else:
@@ -329,7 +341,7 @@ def backward_error(
         if route.kind == METHOD_PENCIL:
             value, x, witness = _solve_pencil(view)
         else:
-            solver = srq2.solve(_srq2_problem(view), restarts=restarts, seed=seed)
+            solver = srq2.solve(view.problem, restarts=restarts, seed=seed)
             value, x = solver.value, solver.x
             if not math.isfinite(value):
                 value, x = math.inf, None
@@ -346,7 +358,7 @@ def backward_error(
         infeasibility_witness=witness,
     )
     if witness is None:
-        result = replace(result, certificate=certify(system, result))
+        result = replace(result, certificate=certify(system, result, _view=view))
     return result
 
 
@@ -372,7 +384,9 @@ def _row_maps(rhs: np.ndarray, parts: dict, open_blocks: str, res_tol: float) ->
     ]
 
 
-def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> RosenbrockSystem:
+def reconstruct_perturbation(
+    system: RosenbrockSystem, lam, pattern, x, *, _view=None
+) -> RosenbrockSystem:
     """Minimal-Frobenius-norm perturbation supported on the pattern that
     makes lam an exact eigenvalue with null vector x, as a system of the
     original's shapes (``system - delta`` is the perturbed system).
@@ -383,9 +397,9 @@ def reconstruct_perturbation(system: RosenbrockSystem, lam, pattern, x) -> Rosen
     must already be annihilated by x, else the point is infeasible and
     ReconstructionError is raised.  For transposed patterns x is
     interpreted against the transposed system and the perturbation is
-    mapped back.
+    mapped back.  ``certify`` passes its view of (lam, pattern) as ``_view``.
     """
-    view = _shift(system, lam, pattern)
+    view = _shift(system, lam, pattern) if _view is None else _view
     route, lam, s_mat, r = view.route, view.lam, view.em.s, view.em.r
     n, d = s_mat.shape[0] - r, system.d
     x = linalg.normalize(linalg._direction(x, r + n))
@@ -402,7 +416,7 @@ def _check(name: str, value: float, bound: float) -> CertificateCheck:
     return CertificateCheck(name=name, value=value, bound=bound, passed=value <= bound)
 
 
-def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificate:
+def certify(system: RosenbrockSystem, result: BackwardErrorResult, *, _view=None) -> Certificate:
     """Re-derive every certification quantity from the result's stored
     (eta, x) at its own shift and pattern: rebuild the pattern perturbation
     at x, compare its aggregate norm with eta, measure the smallest singular
@@ -410,13 +424,14 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     the unit x, or on an SRQ2 route where H(x) is defined the stationarity
     residual and the aufbau gap s - lambda_min(H(x)).  Passes only when every
     check meets its bound; only x's direction counts, and a non-finite, zero
-    or wrong-length x is a ValueError naming x."""
-    view = _shift(system, result.lam, result.pattern)
+    or wrong-length x is a ValueError naming x.  ``backward_error`` passes
+    its view of the result's shift and pattern as ``_view``."""
+    view = _shift(system, result.lam, result.pattern) if _view is None else _view
     x = None if result.x is None else linalg._direction(result.x, len(view.s))
     smin_bound = linalg.threshold(_FEAS_TOL, view.scale)
 
     if result.method == METHOD_ZERO_EIGENVALUE:
-        smin = linalg.smallest_singular_value(view.s)
+        smin = view.smin
         checks = (
             _check("sigma_min of the unperturbed evaluation", smin, smin_bound),
             _check("eta equals the zero perturbation's norm", abs(result.eta), 0.0),
@@ -427,7 +442,7 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
         raise ValueError("certify requires a finite result carrying a minimizer")
 
     try:
-        delta = reconstruct_perturbation(system, view.lam, view.pattern, x)
+        delta = reconstruct_perturbation(system, view.lam, view.pattern, x, _view=view)
     except ReconstructionError as exc:
         return Certificate((), None, math.nan, failure=str(exc))
 
@@ -443,7 +458,7 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
     nepv_residual = pencil_residual = None
     if view.route.kind == METHOD_SRQ2:
         try:
-            info = srq2.nepv_residuals(_srq2_problem(view), x)
+            info = srq2.nepv_residuals(view.problem, x)
         except srq2.NondifferentiablePointError:  # a 0/0 point: no H(x)
             pass
         else:  # stationary, and paired with the smallest eigenvalue of H(x)
@@ -453,7 +468,7 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult) -> Certificat
                 _check("aufbau gap s - lambda_min(H)", info.smallest_eig_gap, info.aufbau_bound),
             ]
     else:
-        basis, m, nmat, _, scale = _pencil_data(view)
+        basis, m, nmat, _, scale = view.pencil
         y = basis.conj().T @ linalg.normalize(x)
         mu = eta**2 / scale
         pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))

@@ -1,6 +1,6 @@
 """Backward errors across all perturbation patterns: dispatch, closed-form
 and oracle cross-checks, feasibility witnesses, reconstruction, and the
-from-scratch certificates."""
+certificates rebuilt from (eta, x)."""
 
 import importlib
 import math
@@ -659,14 +659,16 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     rng = np.random.default_rng(21)
     system = random_system(rng, r=2, n=3, d=1)
     lam = 0.3 + 0.4j
-    s_mat = system.evaluate(lam)
+    eig = refined_eigenvalues(system)[0]
+    # the evaluations of S whose smallest singular value is a zero gate
+    gate_mats = [system.evaluate(lam), system.evaluate(eig)]
     gates, certificates, row_maps = [], [], []
     smallest_singular_value, certify_fn = linalg.smallest_singular_value, _be.certify
     row_maps_fn = _be._row_maps
 
     def counting_smin(m):
         m = np.asarray(m)
-        if np.array_equal(m, s_mat) or np.array_equal(m, s_mat.T):
+        if any(np.array_equal(m, s) or np.array_equal(m, s.T) for s in gate_mats):
             gates.append(m)
         return smallest_singular_value(m)
 
@@ -678,8 +680,9 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
         row_maps.append(args)
         return row_maps_fn(*args, **kwargs)
 
-    # the work per call: evaluations of S, transposes and Gram matrix builds
-    work = {"evaluate": 0, "transpose": 0, "g1": 0, "g2": 0}
+    # the work per call: evaluations of S, transposes, Gram matrix builds,
+    # quotient data builds and Gram null spaces
+    work = dict.fromkeys(("evaluate", "transpose", "g1", "g2", "problem", "nullspace"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -689,6 +692,7 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(linalg, "smallest_singular_value", counting_smin)
+    monkeypatch.setattr(linalg, "psd_nullspace", counted("nullspace", linalg.psd_nullspace))
     monkeypatch.setattr(_be, "certify", counting_certify)
     monkeypatch.setattr(_be, "_row_maps", counting_row_maps)
     for name in ("evaluate", "transpose"):
@@ -696,6 +700,8 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     for name in ("g1", "g2"):
         build = getattr(ErrorMatrices, name).fget
         monkeypatch.setattr(ErrorMatrices, name, property(counted(name, build)))
+    post_init = srq2.Srq2Problem.__post_init__
+    monkeypatch.setattr(srq2.Srq2Problem, "__post_init__", counted("problem", post_init))
     result = _be.backward_error(system, lam, letters, restarts=2)
     assert result.method == (f"transposed_{route.kind}" if route.transposed else route.kind)
     assert result.transposed == route.transposed
@@ -706,18 +712,25 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     # one reconstruction (a map per block row), kept by the certificate
     assert len(row_maps) == 2
     assert result.perturbation is result.certificate.perturbation
-    # S(lambda) three times (solve, certify, reconstruction) and the
-    # perturbed system once; a transposed route transposes S(lambda), not
-    # the system, and the system once, to map the perturbation back
-    assert work["evaluate"] <= 4
+    # one view per call: S(lambda) once, shared by the solve, the certificate
+    # and the reconstruction, and the perturbed system once; a transposed
+    # route transposes S(lambda), not the system, and the system once, to
+    # map the perturbation back
+    assert work["evaluate"] == 2
     assert work["transpose"] <= 1 if route.transposed else work["transpose"] == 0
-    assert work["g1"] <= 2 and work["g2"] <= 2
-    # at an eigenvalue the zero gate decides: one view each in backward_error
-    # and certify, and no Gram matrix and no transposed system
-    eig = refined_eigenvalues(system)[0]
+    assert work["g1"] <= 1 and work["g2"] <= 1
+    # the quotient data or the Gram null space, built once for solve and certificate
+    if route.kind == "srq2":
+        assert work["problem"] == 1
+    else:
+        assert work["problem"] == 0 and work["nullspace"] == 1
+    # at an eigenvalue the zero gate decides: one view, whose sigma_min the
+    # certificate reads, and no Gram matrix and no transposed system
     work.update(dict.fromkeys(work, 0))
+    gates.clear()
     assert _be.backward_error(system, eig, letters).method == "zero_eigenvalue"
-    assert work["evaluate"] == 2 and work["g1"] == work["g2"] == 0
+    assert work["evaluate"] == 1 and len(gates) == 1
+    assert work["g1"] == work["g2"] == work["problem"] == work["nullspace"] == 0
     assert work["transpose"] == 0
 
 
@@ -731,6 +744,59 @@ def test_transposed_view_is_the_transposed_evaluation(d):
     assert not view.em.s.flags.writeable
     assert view.s.tobytes() == system.evaluate(lam).tobytes()
     assert view.scale == linalg.norm1(expected.T)
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def _system_bytes(system):
+    if system is None:
+        return None
+    return [m.tobytes() for m in (system.A, system.B, system.C, *system.poly_coeffs)]
+
+
+def _certificate_fields(cert):
+    checks = [(c.name, _bits(c.value), _bits(c.bound), c.passed) for c in cert.checks]
+    residuals = (cert.sigma_min_perturbed, cert.nepv_residual, cert.pencil_residual)
+    return checks, [_bits(v) for v in residuals], cert.failure, _system_bytes(cert.perturbation)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_attached_certificate_matches_a_fresh_certify(d):
+    # the certificate backward_error attaches reads the call's own view; one
+    # built from the stored result alone, as for a stored document, is the same
+    system = random_system(np.random.default_rng(30 + d), r=2, n=3, d=d)
+    methods = set()
+    for lam in (0.3 + 0.4j, refined_eigenvalues(system)[0]):
+        for pattern in all_patterns():
+            result = backward_error(system, lam, pattern, restarts=2)
+            methods.add(result.method)
+            assert _certificate_fields(certify(system, result)) == _certificate_fields(
+                result.certificate
+            )
+            if result.method == "zero_eigenvalue":
+                continue
+            rebuilt = reconstruct_perturbation(system, lam, pattern, result.x)
+            assert _system_bytes(rebuilt) == _system_bytes(result.perturbation)
+    # the zero gate and all four solved routes were exercised
+    assert methods == {"zero_eigenvalue", "pencil", "srq2", "transposed_pencil", "transposed_srq2"}
+    # an infeasible pattern carries no certificate, and certify refuses it
+    infeasible = backward_error(_infeasible_a_system(), 0.0, "A")
+    assert infeasible.certificate is None
+    with pytest.raises(ValueError, match="finite result"):
+        certify(_infeasible_a_system(), infeasible)
+
+
+@pytest.mark.parametrize("letters", ["A", "AB", "CP", "BP"])
+def test_shared_pencil_data_is_read_only(letters):
+    # the solve and the certificate read the same basis and restricted pencil
+    view = _be._shift(random_system(np.random.default_rng(24), r=2, n=3, d=1), 0.3 + 0.4j, letters)
+    basis, m, nmat, _, _ = view.pencil
+    assert view.pencil is view.pencil and basis.shape[1] > 0
+    for arr in (basis, m, nmat):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("letters", [p.letters for p in all_patterns()])
