@@ -177,7 +177,9 @@ class Certificate:
 
     checks: tuple[CertificateCheck, ...]
     perturbation: RosenbrockSystem | None
-    sigma_min_perturbed: float
+    perturbed_residual: float
+    """||(S - Delta S)(lam) x|| at the unit x, an upper bound on sigma_min of
+    S - Delta (Delta = 0 at the zero gate); NaN where x is missing or infeasible."""
     nepv_residual: float | None = None
     """SRQ2 routes, where H(x) is defined: ||H(x) x - s x|| / (||H(x)||_1 + 1),
     s = x* H(x) x, the ``rel_residual`` of ``srq2.nepv_residuals``, unlike its
@@ -253,7 +255,8 @@ class _Shift:
 
     @cached_property
     def smin(self) -> float:
-        """sigma_min(S(lam)), the zero gate's value."""
+        """sigma_min(S(lam)), the zero gate's value: the only SVD of a call
+        the gate lets through."""
         return linalg.smallest_singular_value(self.s)
 
     @cached_property
@@ -419,24 +422,26 @@ def _check(name: str, value: float, bound: float) -> CertificateCheck:
 def certify(system: RosenbrockSystem, result: BackwardErrorResult, *, _view=None) -> Certificate:
     """Re-derive every certification quantity from the result's stored
     (eta, x) at its own shift and pattern: rebuild the pattern perturbation
-    at x, compare its aggregate norm with eta, measure the smallest singular
-    value of the perturbed evaluation, and recompute the pencil residual at
-    the unit x, or on an SRQ2 route where H(x) is defined the stationarity
-    residual and the aufbau gap s - lambda_min(H(x)).  Passes only when every
-    check meets its bound; only x's direction counts, and a non-finite, zero
-    or wrong-length x is a ValueError naming x.  ``backward_error`` passes
-    its view of the result's shift and pattern as ``_view``."""
+    at x, compare its aggregate norm with eta, bound ||(S - Delta S)(lam) x||
+    (no SVD: at the unit x it bounds sigma_min of S - Delta from above), and
+    recompute the pencil residual at the unit x, or on an SRQ2 route where
+    H(x) is defined the stationarity residual and the aufbau gap s -
+    lambda_min(H(x)).  Passes only when every check meets its bound; only x's
+    direction counts, and a non-finite, zero or wrong-length x is a
+    ValueError naming x.  ``backward_error`` passes its view as ``_view``."""
     view = _shift(system, result.lam, result.pattern) if _view is None else _view
     x = None if result.x is None else linalg._direction(result.x, len(view.s))
-    smin_bound = linalg.threshold(_FEAS_TOL, view.scale)
+    feas_bound = linalg.threshold(_FEAS_TOL, view.scale)
 
     if result.method == METHOD_ZERO_EIGENVALUE:
-        smin = view.smin
+        zero = RosenbrockSystem(*(np.zeros_like(m) for m in (system.A, system.B, system.C)),
+                                tuple(map(np.zeros_like, system.poly_coeffs)))
         checks = (
-            _check("sigma_min of the unperturbed evaluation", smin, smin_bound),
+            _check("sigma_min of the unperturbed evaluation", view.smin, feas_bound),
             _check("eta equals the zero perturbation's norm", abs(result.eta), 0.0),
         )
-        return Certificate(checks, system - system, smin)
+        residual = math.nan if x is None else float(np.linalg.norm(view.s @ linalg.normalize(x)))
+        return Certificate(checks, zero, residual)
 
     if not math.isfinite(result.eta) or x is None:
         raise ValueError("certify requires a finite result carrying a minimizer")
@@ -449,10 +454,13 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult, *, _view=None
     eta = result.eta
     delta_norm = delta.norm()
     norm_match = abs(delta_norm - eta) / eta if eta > 0.0 else abs(delta_norm)
-    smin = linalg.smallest_singular_value((system - delta).evaluate(view.lam))
+    # Delta S(lam) has no -lam I, so it is not delta.evaluate(lam)
+    ds = np.block([[delta.A, delta.B], [delta.C, delta.poly_at(view.lam)]])
+    u = linalg.normalize(x)
+    residual = float(np.linalg.norm((view.em.s - (ds.T if view.route.transposed else ds)) @ u))
     checks = [
         _check("perturbation norm matches eta (relative)", norm_match, _NORM_MATCH_TOL),
-        _check("sigma_min of the perturbed evaluation", smin, smin_bound),
+        _check("residual of the perturbed evaluation at x", residual, feas_bound),
     ]
 
     nepv_residual = pencil_residual = None
@@ -469,10 +477,10 @@ def certify(system: RosenbrockSystem, result: BackwardErrorResult, *, _view=None
             ]
     else:
         basis, m, nmat, _, scale = view.pencil
-        y = basis.conj().T @ linalg.normalize(x)
+        y = basis.conj().T @ u
         mu = eta**2 / scale
         pencil_residual = float(np.linalg.norm(m @ y - mu * (nmat @ y)))
         bound = _PENCIL_CERT_TOL * (linalg.norm1(m) + mu * linalg.norm1(nmat))
         checks.append(_check("pencil eigenpair residual", pencil_residual, bound))
 
-    return Certificate(tuple(checks), delta, smin, nepv_residual, pencil_residual)
+    return Certificate(tuple(checks), delta, residual, nepv_residual, pencil_residual)

@@ -28,7 +28,7 @@ from .backward_error import (
 )
 from .rosenbrock import RosenbrockSystem
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -194,7 +194,7 @@ def result_to_document(result: BackwardErrorResult) -> dict:
         certificates = {
             "passed": cert.passed,
             "deltaNorm": cert.delta_norm,
-            "sigmaMinPerturbed": cert.sigma_min_perturbed,
+            "perturbedResidual": cert.perturbed_residual,
             "nepvResidual": cert.nepv_residual,
             "pencilResidual": cert.pencil_residual,
             "failure": cert.failure,

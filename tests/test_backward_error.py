@@ -188,7 +188,7 @@ def test_certificates_pass_on_random_system(shape):
             None if cert is None else [(c.name, c.value, c.bound) for c in cert.checks],
         )
         assert cert.delta_norm == pytest.approx(result.eta, rel=1e-9, abs=1e-12)
-        assert cert.sigma_min_perturbed <= 1e-8 * max(
+        assert cert.perturbed_residual <= 1e-8 * max(
             1.0, linalg.norm1(system.evaluate(lam))
         )
 
@@ -662,14 +662,12 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     eig = refined_eigenvalues(system)[0]
     # the evaluations of S whose smallest singular value is a zero gate
     gate_mats = [system.evaluate(lam), system.evaluate(eig)]
-    gates, certificates, row_maps = [], [], []
+    svds, certificates, row_maps = [], [], []
     smallest_singular_value, certify_fn = linalg.smallest_singular_value, _be.certify
     row_maps_fn = _be._row_maps
 
     def counting_smin(m):
-        m = np.asarray(m)
-        if any(np.array_equal(m, s) or np.array_equal(m, s.T) for s in gate_mats):
-            gates.append(m)
+        svds.append(np.array(m))
         return smallest_singular_value(m)
 
     def counting_certify(*args, **kwargs):
@@ -706,17 +704,18 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     assert result.method == (f"transposed_{route.kind}" if route.transposed else route.kind)
     assert result.transposed == route.transposed
     assert math.isfinite(result.eta) and result.certificate.passed
-    # one zero gate on S(lambda) and one certificate, also for transposed routes
-    assert len(gates) == 1
+    # one SVD in total, the zero gate's on S(lambda), and one certificate,
+    # also for transposed routes: the certificate's perturbed check takes none
+    assert len(svds) == 1 and np.array_equal(svds[0], gate_mats[0])
     assert len(certificates) == 1
     # one reconstruction (a map per block row), kept by the certificate
     assert len(row_maps) == 2
     assert result.perturbation is result.certificate.perturbation
     # one view per call: S(lambda) once, shared by the solve, the certificate
-    # and the reconstruction, and the perturbed system once; a transposed
-    # route transposes S(lambda), not the system, and the system once, to
-    # map the perturbation back
-    assert work["evaluate"] == 2
+    # and the reconstruction, and no evaluation of the perturbed system; a
+    # transposed route transposes S(lambda), not the system, and the system
+    # once, to map the perturbation back
+    assert work["evaluate"] == 1
     assert work["transpose"] <= 1 if route.transposed else work["transpose"] == 0
     assert work["g1"] <= 1 and work["g2"] <= 1
     # the quotient data or the Gram null space, built once for solve and certificate
@@ -727,9 +726,10 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     # at an eigenvalue the zero gate decides: one view, whose sigma_min the
     # certificate reads, and no Gram matrix and no transposed system
     work.update(dict.fromkeys(work, 0))
-    gates.clear()
+    svds.clear()
     assert _be.backward_error(system, eig, letters).method == "zero_eigenvalue"
-    assert work["evaluate"] == 1 and len(gates) == 1
+    assert work["evaluate"] == 1
+    assert len(svds) == 1 and np.array_equal(svds[0], gate_mats[1])
     assert work["g1"] == work["g2"] == work["problem"] == work["nullspace"] == 0
     assert work["transpose"] == 0
 
@@ -758,7 +758,7 @@ def _system_bytes(system):
 
 def _certificate_fields(cert):
     checks = [(c.name, _bits(c.value), _bits(c.bound), c.passed) for c in cert.checks]
-    residuals = (cert.sigma_min_perturbed, cert.nepv_residual, cert.pencil_residual)
+    residuals = (cert.perturbed_residual, cert.nepv_residual, cert.pencil_residual)
     return checks, [_bits(v) for v in residuals], cert.failure, _system_bytes(cert.perturbation)
 
 
@@ -786,6 +786,54 @@ def test_attached_certificate_matches_a_fresh_certify(d):
     assert infeasible.certificate is None
     with pytest.raises(ValueError, match="finite result"):
         certify(_infeasible_a_system(), infeasible)
+
+
+_RESIDUAL_CHECK = "residual of the perturbed evaluation at x"
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_perturbed_residual_bounds_sigma_min_of_the_perturbed_system(d):
+    # ||(S - Delta S)(lam) x|| at the unit x is at least sigma_min(S - Delta),
+    # so the residual check is at least as strict as an SVD of the perturbed
+    # system, on every route and also near an eigenvalue
+    system = random_system(np.random.default_rng(40 + d), r=2, n=3, d=d)
+    checked = 0
+    for lam in (0.3 + 0.4j, refined_eigenvalues(system)[0] + 1e-4):
+        scale = linalg.norm1(system.evaluate(lam))
+        for pattern in all_patterns():
+            result = backward_error(system, lam, pattern, restarts=2)
+            if result.perturbation is None:
+                continue
+            perturbed = (system - result.perturbation).evaluate(lam)
+            smin = np.linalg.svd(perturbed, compute_uv=False)[-1]
+            cert = result.certificate
+            assert cert.perturbed_residual >= smin - 1e-14 * scale, (pattern.letters, lam)
+            check = next(c for c in cert.checks if c.name == _RESIDUAL_CHECK)
+            assert check.value == cert.perturbed_residual and check.passed
+            checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("letters", ["A", "AB", "CP", "ACP", "ABCP"])
+def test_residual_check_fails_when_an_open_block_map_is_dropped(letters, monkeypatch):
+    system = random_system(np.random.default_rng(41), r=2, n=3, d=1)
+    lam = 0.3 + 0.4j
+    assert backward_error(system, lam, letters, restarts=2).certificate.passed
+    row_maps, dropped = _be._row_maps, []
+
+    def drop_one_open_map(rhs, parts, open_blocks, res_tol):
+        maps = row_maps(rhs, parts, open_blocks, res_tol)
+        for i, key in enumerate(parts):
+            if not dropped and key in open_blocks and np.linalg.norm(maps[i]) > 0.0:
+                maps[i] = np.zeros_like(maps[i])
+                dropped.append(key)
+        return maps
+
+    monkeypatch.setattr(_be, "_row_maps", drop_one_open_map)
+    cert = backward_error(system, lam, letters, restarts=2).certificate
+    assert len(dropped) == 1
+    check = next(c for c in cert.checks if c.name == _RESIDUAL_CHECK)
+    assert not check.passed and not cert.passed
 
 
 @pytest.mark.parametrize("letters", ["A", "AB", "CP", "BP"])

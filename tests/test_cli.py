@@ -135,6 +135,14 @@ def test_compute_then_certify_round_trip(tmp_path, capsys):
     assert doc["lambda"] == [0.4, -0.6]
     assert isinstance(doc["eta"], float) and doc["eta"] > 0
     assert doc["certificates"]["passed"] is True
+    assert doc["schemaVersion"] == cli.SCHEMA_VERSION == "2"
+    # the perturbed check is a residual at x, stored under its own name
+    cert = doc["certificates"]
+    assert "sigmaMinPerturbed" not in cert
+    check = next(
+        c for c in cert["checks"] if c["name"] == "residual of the perturbed evaluation at x"
+    )
+    assert cert["perturbedResidual"] == check["value"] <= check["bound"]
     assert doc["solver"]["converged"] is True
     assert doc["solver"]["residual"] <= 1e-10
 
