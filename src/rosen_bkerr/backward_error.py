@@ -12,11 +12,13 @@ norm making lambda an exact eigenvalue.  Every pattern is computable:
 * C, AC, BP, ACP follow by transposing the system and renaming blocks.
 
 ``ROUTES`` is the one pattern-to-route map.  ``_shift`` alone evaluates a
-shift: its view holds the route, the error matrices of the system the route
-solves on, and the input's S(lambda) with its 1-norm, the one scale of the
-zero gate, reconstruction and the certificate.  ``backward_error`` builds one
-view per call, follows the route and hands the view to ``certify``, which
-rebuilds the perturbation from it and the result's (eta, x) alone.
+shift: its view holds the route, the error matrices (S(lambda) and gamma) of
+the system the route solves on, and the input's S(lambda) with its 1-norm,
+the one scale of the zero gate, reconstruction and the certificate.  The
+view alone forms the routes' Gram matrices and weightings from them.
+``backward_error`` builds one view per call, follows the route and hands
+the view to ``certify``, which rebuilds the perturbation from it and the
+result's (eta, x) alone.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ class PerturbationPattern:
 
     def __str__(self) -> str:
         return self.letters
-
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.blocks
 
     def issubset(self, other: "PerturbationPattern") -> bool:
         return self.blocks <= other.blocks
@@ -235,7 +234,9 @@ class BackwardErrorResult:
 
 
 def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    out = basis.conj().T @ m @ basis
+    """basis* m basis, symmetrized; a vector m stands for its diagonal matrix."""
+    left = basis.conj().T * m if m.ndim == 1 else basis.conj().T @ m
+    out = left @ basis
     return (out + out.conj().T) / 2.0
 
 
@@ -243,8 +244,11 @@ def _restrict(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
 class _Shift:
     """One call's view of (lam, pattern): ``em`` belongs to the system the
     route solves on, ``s`` is S(lam) of the input system and ``scale`` its
-    1-norm.  The solve, the certificate and the reconstruction share it, and
-    what they derive from it is computed once, on first read."""
+    1-norm.  The view alone forms the Hermitian data of the routes from
+    ``em``: the Gram matrices G1 and G2 of the block rows of em.s, and the
+    weightings H1, H2 and Hlam = H1 + gamma H2 as their diagonals.  The
+    solve, the certificate and the reconstruction share it, and what they
+    derive from it is computed once, on first read."""
 
     pattern: PerturbationPattern
     lam: complex
@@ -259,12 +263,24 @@ class _Shift:
         the gate lets through."""
         return linalg.smallest_singular_value(self.s)
 
+    def _gram(self, row: int) -> np.ndarray:
+        """G1 (row 1) or G2 (row 2): the Gram matrix of a block row of em.s."""
+        rows = self.em.s[: self.em.r] if row == 1 else self.em.s[self.em.r :]
+        return linalg.hermitian_part(rows.conj().T @ rows, f"g{row}")
+
+    @property
+    def _h2(self) -> np.ndarray:
+        """The diagonal of H2, the trailing-coordinate indicator; H1 = I - H2."""
+        return (np.arange(len(self.em.s)) >= self.em.r).astype(float)
+
     @cached_property
     def problem(self) -> srq2.Srq2Problem:
         """The quotient data of an SRQ2 route."""
         em, route = self.em, self.route
-        a2 = em.g2 / em.gamma if route.over_gamma else em.g2
-        return srq2.Srq2Problem(em.g1, a2, em.h2, *srq2.PATTERN_SCALARS[route.inner](em.gamma))
+        g2 = self._gram(2)
+        a2 = g2 / em.gamma if route.over_gamma else g2
+        scalars = srq2.PATTERN_SCALARS[route.inner](em.gamma)
+        return srq2.Srq2Problem(self._gram(1), a2, np.diag(self._h2), *scalars)
 
     @cached_property
     def pencil(self) -> tuple:
@@ -274,14 +290,15 @@ class _Shift:
         the pencil's eigenvalue into eta^2."""
         em, route = self.em, self.route
         if "A" in route.inner or "B" in route.inner:  # C and P are frozen
-            basis, numerator, v = linalg.psd_nullspace(em.g2), em.g1, "V"
+            basis, numerator, v = linalg.psd_nullspace(self._gram(2)), self._gram(1), "V"
         else:  # A and B are frozen
-            basis, numerator, v = linalg.psd_nullspace(em.g1), em.g2, "U"
-        rhs = {"H1": "h1", "H2": "h2", "Hlam": "h_lambda"}.get(route.rhs)
-        if rhs is None:
+            basis, numerator, v = linalg.psd_nullspace(self._gram(1)), self._gram(2), "U"
+        if route.rhs is None:
             nmat = np.eye(basis.shape[1], dtype=np.complex128)
         else:
-            nmat = _restrict(getattr(em, rhs), basis)
+            h2 = self._h2
+            h1 = 1.0 - h2
+            nmat = _restrict({"H1": h1, "H2": h2, "Hlam": h1 + em.gamma * h2}[route.rhs], basis)
         scale = 1.0 / em.gamma if route.over_gamma else 1.0
         m = _restrict(numerator, basis)
         return _frozen(basis), _frozen(m), _frozen(nmat), f"{v}*{route.rhs}{v}", scale

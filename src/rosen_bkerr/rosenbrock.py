@@ -6,9 +6,8 @@ A system couples a first-order pencil with a matrix polynomial:
             [C,       P(z)]],      P(z) = sum_j z^j poly_coeffs[j],
 
 with A of order r, P of order n and degree d.  ``assemble_error_matrices``
-packages, for a fixed shift, S(lambda), the Gram matrices of its block
-rows, the coordinate projectors and the polynomial weight gamma that
-every backward-error formula consumes.
+packages, for a fixed shift, S(lambda) and the polynomial weight gamma;
+``backward_error`` forms the Gram matrices and weightings from them.
 """
 
 from __future__ import annotations
@@ -129,38 +128,13 @@ class RosenbrockSystem:
 
 @dataclass(frozen=True, eq=False)
 class ErrorMatrices:
-    """Shift-dependent data of s = S(lam) and the weight gamma = sum_j
-    |lam|^(2j).  Formed from s on each read, so that none outlives its
-    reader: g1 and g2, the Gram matrices of its two block rows, and h1 and
-    h2, the complementary projectors onto the leading r and trailing n
-    coordinates."""
+    """The shift data every backward-error formula starts from: s = S(lam),
+    the order r of its leading block row and the polynomial weight gamma =
+    sum_j |lam|^(2j)."""
 
     s: np.ndarray
     r: int
     gamma: float
-
-    @property
-    def g1(self) -> np.ndarray:
-        row1 = self.s[: self.r]
-        return _frozen(linalg.hermitian_part(row1.conj().T @ row1, "g1"))
-
-    @property
-    def g2(self) -> np.ndarray:
-        row2 = self.s[self.r :]
-        return _frozen(linalg.hermitian_part(row2.conj().T @ row2, "g2"))
-
-    @property
-    def h1(self) -> np.ndarray:
-        return _frozen(np.diag(np.arange(self.s.shape[0]) < self.r).astype(np.complex128))
-
-    @property
-    def h2(self) -> np.ndarray:
-        return _frozen(np.diag(np.arange(self.s.shape[0]) >= self.r).astype(np.complex128))
-
-    @property
-    def h_lambda(self) -> np.ndarray:
-        """The weighting h1 + gamma * h2 of the second block row."""
-        return self.h1 + self.gamma * self.h2
 
 
 def assemble_error_matrices(system: RosenbrockSystem, lam) -> ErrorMatrices:

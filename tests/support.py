@@ -155,9 +155,10 @@ def _orthonormal_nullspace(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def direct_backward_error(system, lam, letters, budget=4000, seed=0) -> float:
-    em = assemble_error_matrices(system, lam)
-    g1, g2, h2, gamma = em.g1, em.g2, em.h2, em.gamma
-    k = g1.shape[0]
+    s, r = system.evaluate(lam), system.r
+    g1, g2 = ((g + g.conj().T) / 2.0 for g in (s[:r].conj().T @ s[:r], s[r:].conj().T @ s[r:]))
+    h2 = np.diag(np.arange(len(s)) >= r).astype(np.complex128)
+    gamma = assemble_error_matrices(system, lam).gamma
     if letters == "C":
         u = _orthonormal_nullspace(g1)
         if u.shape[1] == 0:

@@ -19,7 +19,7 @@ from rosen_bkerr.backward_error import (
     reconstruct_perturbation,
     srq2_problem_for,
 )
-from rosen_bkerr.rosenbrock import ErrorMatrices, RosenbrockSystem, assemble_error_matrices
+from rosen_bkerr.rosenbrock import RosenbrockSystem, assemble_error_matrices
 from support import (
     X_STAR_1,
     direct_backward_error,
@@ -40,8 +40,8 @@ def test_pattern_canonical_spelling():
     p = PerturbationPattern.from_string("PCA")
     assert p.letters == "ACP"
     assert str(p) == "ACP"
-    assert "C" in p
-    assert "B" not in p
+    assert "C" in p.blocks
+    assert "B" not in p.blocks
 
 
 def test_pattern_validation():
@@ -93,7 +93,8 @@ def test_srq2_problem_for_full_pattern_weights():
     assert problem.alpha1 == 1.0 and problem.beta1 == 0.0
     assert problem.alpha2 == 1.0
     assert problem.beta2 == pytest.approx(em.gamma - 1.0)
-    assert np.allclose(problem.a3, em.h2)
+    # A3 is the projector onto the trailing n = 2 coordinates
+    assert np.array_equal(problem.a3, np.diag([0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         srq2_problem_for(system, 2.0, "A")
 
@@ -695,9 +696,13 @@ def test_route_table_entry_matches_result(letters, monkeypatch):
     monkeypatch.setattr(_be, "_row_maps", counting_row_maps)
     for name in ("evaluate", "transpose"):
         monkeypatch.setattr(RosenbrockSystem, name, counted(name, getattr(RosenbrockSystem, name)))
-    for name in ("g1", "g2"):
-        build = getattr(ErrorMatrices, name).fget
-        monkeypatch.setattr(ErrorMatrices, name, property(counted(name, build)))
+    gram = _be._Shift._gram
+
+    def counting_gram(view, row):
+        work[f"g{row}"] += 1
+        return gram(view, row)
+
+    monkeypatch.setattr(_be._Shift, "_gram", counting_gram)
     post_init = srq2.Srq2Problem.__post_init__
     monkeypatch.setattr(srq2.Srq2Problem, "__post_init__", counted("problem", post_init))
     result = _be.backward_error(system, lam, letters, restarts=2)
@@ -744,6 +749,44 @@ def test_transposed_view_is_the_transposed_evaluation(d):
     assert not view.em.s.flags.writeable
     assert view.s.tobytes() == system.evaluate(lam).tobytes()
     assert view.scale == linalg.norm1(expected.T)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("letters", sorted(ROUTES))
+def test_view_data_equals_dense_projector_forms(letters, d):
+    # the view's weight vectors give the same bits as restricting the dense
+    # projectors H1, H2 and Hlam = H1 + gamma H2 to the null-space basis
+    system = random_system(np.random.default_rng(29), r=2, n=3, d=d)
+    view = _be._shift(system, 0.3 + 0.4j, letters)
+    route, em = view.route, view.em
+    s, r = em.s, em.r
+    g1 = linalg.hermitian_part(s[:r].conj().T @ s[:r], "g1")
+    g2 = linalg.hermitian_part(s[r:].conj().T @ s[r:], "g2")
+    h1 = np.diag(np.arange(len(s)) < r).astype(np.complex128)
+    h2 = np.diag(np.arange(len(s)) >= r).astype(np.complex128)
+
+    def restrict(m, basis):
+        out = basis.conj().T @ m @ basis
+        return (out + out.conj().T) / 2.0
+
+    def same(a, b):
+        return np.array_equal(a.view(np.float64), b.view(np.float64))
+
+    if route.kind == "srq2":
+        a2 = g2 / em.gamma if route.over_gamma else g2
+        scalars = srq2.PATTERN_SCALARS[route.inner](em.gamma)
+        expected = srq2.Srq2Problem(g1, a2, h2, *scalars)
+        for name in ("a1", "a2", "a3"):
+            assert same(getattr(view.problem, name), getattr(expected, name))
+        return
+    basis, m, nmat = view.pencil[:3]
+    numerator = g1 if "A" in route.inner or "B" in route.inner else g2
+    dense = {"H1": h1, "H2": h2, "Hlam": h1 + em.gamma * h2}.get(route.rhs)
+    assert same(m, restrict(numerator, basis))
+    if dense is None:
+        assert same(nmat, np.eye(basis.shape[1], dtype=np.complex128))
+    else:
+        assert same(nmat, restrict(dense, basis))
 
 
 def _bits(value):

@@ -251,24 +251,31 @@ def test_certify_rejects_malformed_result(tmp_path, capsys, edit):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize(
-    "command, shift", [("compute", 1e300), ("compute", 1e160), ("certify", 1e300)]
+    "command, shift",
+    [("compute", 1e300), ("compute", 1e160), ("certify", 1e300), ("jnr", 1e160)],
 )
 def test_overflowing_shift_is_an_input_error(tmp_path, capsys, command, shift):
-    # S(lambda) or the Gram matrices of its block rows overflow at these shifts
-    system = random_system(np.random.default_rng(5), r=2, n=3, d=1)
+    # S(lambda) or the Gram matrices of its block rows overflow at these shifts;
+    # at degree 0 only the first block row depends on lambda
+    d = 0 if command == "jnr" else 1
+    system = random_system(np.random.default_rng(5), r=2, n=3, d=d)
     sys_path = write_system(tmp_path, system)
     out_path = tmp_path / "result.json"
     args = ["--system", str(sys_path), "--pattern", "BC", "--out", str(out_path)]
-    if command == "compute":
-        code = cli.main(["compute", *args, "--lambda", f"{shift:.1e}+0.0i"])
-    else:
+    if command == "certify":
         assert cli.main(["compute", *args, "--lambda", "0.3+0.4i"]) == 0
         doc = {**json.loads(out_path.read_text()), "lambda": [shift, 0.0]}
         out_path.write_text(json.dumps(doc))
         capsys.readouterr()
         code = cli.main(["certify", "--system", str(sys_path), "--result", str(out_path)])
+    else:
+        extra = ["--samples", "4"] if command == "jnr" else []
+        code = cli.main([command, *args, *extra, "--lambda", f"{shift:.1e}+0.0i"])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if command == "jnr":  # G2 is finite and formed first, so G1 is the one named
+        assert err == "error: g1 contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("command", ["compute", "certify", "jnr"])

@@ -1,5 +1,8 @@
 """System container and per-shift Hermitian data: evaluation, norms,
-transposition, and the Gram/projector identities everything else relies on."""
+transposition, and the Gram/projector identities everything else relies on,
+read from the shift view that forms them."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from rosen_bkerr.rosenbrock import RosenbrockSystem, assemble_error_matrices
 
 from support import random_system
+
+_be = importlib.import_module("rosen_bkerr.backward_error")
 
 
 def test_evaluate_scalar_constant():
@@ -105,27 +110,32 @@ def test_gram_matrices_sum_to_full_gram():
     rng = np.random.default_rng(5)
     system = random_system(rng, r=2, n=3, d=2)
     lam = 0.3 - 0.8j
-    mats = assemble_error_matrices(system, lam)
+    view = _be._shift(system, lam, "ABCP")
     s = system.evaluate(lam)
-    assert np.allclose(mats.g1 + mats.g2, s.conj().T @ s, atol=1e-12)
-    assert np.array_equal(mats.s, s)
+    assert np.allclose(view._gram(1) + view._gram(2), s.conj().T @ s, atol=1e-12)
+    assert np.array_equal(view.em.s, s)
+    assert np.array_equal(assemble_error_matrices(system, lam).s, s)
 
 
 def test_gram_matrices_are_psd():
     rng = np.random.default_rng(6)
     system = random_system(rng, r=3, n=2, d=1)
-    mats = assemble_error_matrices(system, 1.1 + 0.2j)
-    for g in (mats.g1, mats.g2):
+    view = _be._shift(system, 1.1 + 0.2j, "ABCP")
+    for g in (view._gram(1), view._gram(2)):
         w = np.linalg.eigvalsh(g)
         assert w[0] > -1e-12 * max(1.0, w[-1])
 
 
 def test_projectors_partition_identity():
+    # H1 = I - H2 by construction; on the null space of G2 the restricted
+    # H1 of pattern A and H2 of pattern B add up to the identity
     rng = np.random.default_rng(7)
     system = random_system(rng, r=2, n=2, d=1)
-    mats = assemble_error_matrices(system, 0.5)
-    assert np.allclose(mats.h1 + mats.h2, np.eye(4))
-    assert np.allclose(mats.h1 @ mats.h2, 0)
+    h2 = _be._shift(system, 0.5, "A")._h2
+    assert np.array_equal(h2, [0.0, 0.0, 1.0, 1.0])
+    basis, _, n1 = _be._shift(system, 0.5, "A").pencil[:3]
+    n2 = _be._shift(system, 0.5, "B").pencil[2]
+    assert np.allclose(n1 + n2, np.eye(basis.shape[1]))
 
 
 def test_gamma_weight_values():
@@ -146,10 +156,13 @@ def test_gamma_overflow_is_a_value_error_above_degree_zero():
 
 
 def test_h_lambda_weighted_quadratic_form():
+    # pattern CP restricts Hlam = H1 + gamma H2 to the null space of G1
     rng = np.random.default_rng(9)
     system = random_system(rng, r=2, n=3, d=2)
-    mats = assemble_error_matrices(system, 0.4 + 0.7j)
-    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    form = float(np.real(np.vdot(x, mats.h_lambda @ x)))
-    expect = np.linalg.norm(x[:2]) ** 2 + mats.gamma * np.linalg.norm(x[2:]) ** 2
+    view = _be._shift(system, 0.4 + 0.7j, "CP")
+    basis, _, nmat = view.pencil[:3]
+    y = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+    x = basis @ y
+    form = float(np.real(np.vdot(y, nmat @ y)))
+    expect = np.linalg.norm(x[:2]) ** 2 + view.em.gamma * np.linalg.norm(x[2:]) ** 2
     assert form == pytest.approx(expect, rel=1e-12)
